@@ -15,11 +15,10 @@
 use cpu_sim::{
     ColocationPolicy, ColocationTopology, CoreSetup, PolicyAction, PrivateCore, QosObservation,
 };
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder};
 
 /// Fraction of time the latency-sensitive thread owns the core.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DutyCycle(f64);
 
 impl DutyCycle {
@@ -40,7 +39,7 @@ impl DutyCycle {
 }
 
 /// An Elfen-style interleaving schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElfenSchedule {
     /// Fraction of time given to the latency-sensitive thread.
     pub duty_cycle: DutyCycle,
@@ -99,7 +98,7 @@ pub fn duty_cycle_grid() -> Vec<DutyCycle> {
 /// cycle, §II). Use [`cpu_sim::Scenario::standalone`] for the on-core
 /// fraction and scale by the duty cycle — a *colocated* scenario under this
 /// policy would not model the interleaving and is not meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Elfen {
     /// The current interleaving schedule.
     pub schedule: ElfenSchedule,

@@ -167,12 +167,15 @@ fn main() -> ExitCode {
         FleetScale { servers: opts.servers, requests_per_server: opts.requests, seed: opts.seed };
     // Calibration (peak bisection + threshold fit on the topology's dispatch
     // unit) runs outside the cached cell and on every invocation; it is
-    // deterministic and cheap next to the day itself.
-    let cfg = opts.study.fleet_config_with(opts.balancer, scale, topology, tails, opts.days);
-    if let Err(message) = cfg.validate() {
-        eprintln!("invalid fleet configuration: {message}");
-        return ExitCode::from(2);
-    }
+    // deterministic and cheap next to the day itself. An invalid shape is
+    // rejected before calibration starts.
+    let cfg = match opts.study.fleet_config_with(opts.balancer, scale, topology, tails, opts.days) {
+        Ok(cfg) => cfg,
+        Err(message) => {
+            eprintln!("invalid fleet configuration: {message}");
+            return ExitCode::from(2);
+        }
+    };
 
     let mut experiment = ExperimentConfig::quick();
     experiment.parallelism = opts.workers;

@@ -39,8 +39,7 @@ use sim_qos::{latency_vs_load, slack_curve, LoadPoint, ServiceSpec, SlackPoint};
 use workloads::{batch, latency_sensitive};
 
 use crate::harness::{
-    parallel_map, run_server, run_smt_colocation, ExperimentConfig, PairOutcome, ServerOutcome,
-    SmtOutcome,
+    parallel_map, run_server, run_smt_colocation, ExperimentConfig, ServerOutcome, SmtOutcome,
 };
 use crate::store::{JsonCodec, ResultStore};
 
@@ -139,7 +138,7 @@ impl Drop for InFlightClaim<'_> {
 /// let engine = Engine::new(ExperimentConfig::quick());
 /// let cold = engine.pair(&EqualPartition, "web-search", "zeusmp");
 /// let warm = engine.pair(&EqualPartition, "web-search", "zeusmp");
-/// assert_eq!(cold.ls_uipc.to_bits(), warm.ls_uipc.to_bits());
+/// assert_eq!(cold.ls_uipc().to_bits(), warm.ls_uipc().to_bits());
 ///
 /// let stats = engine.stats();
 /// assert_eq!(stats.misses, 1, "only the cold request simulated");
@@ -232,14 +231,27 @@ impl Engine {
 
     /// Central memoisation path: answer from memo or store, or claim the
     /// cell, compute it once, and publish the result.
-    ///
-    /// The store probe and the computation both run *without* the state lock
-    /// held (the cell is marked in-flight first), so warm runs read the disk
-    /// in parallel and cold runs never serialise behind each other.
     fn run_cached<T: JsonCodec>(
         &self,
         key: &KeyEncoder,
         what: &str,
+        compute: impl FnOnce() -> T,
+    ) -> T {
+        self.run_checked(key, what, |_| true, compute)
+    }
+
+    /// [`Engine::run_cached`] for cells whose stored entry must also pass
+    /// `accept` (e.g. carry the requested workload grouping); an entry that
+    /// decodes but fails it is a miss and is recomputed.
+    ///
+    /// The store probe and the computation both run *without* the state lock
+    /// held (the cell is marked in-flight first), so warm runs read the disk
+    /// in parallel and cold runs never serialise behind each other.
+    fn run_checked<T: JsonCodec>(
+        &self,
+        key: &KeyEncoder,
+        what: &str,
+        accept: impl Fn(&T) -> bool,
         compute: impl FnOnce() -> T,
     ) -> T {
         let digest = key.digest();
@@ -267,12 +279,12 @@ impl Engine {
 
         if let Some(store) = &self.store {
             if let Some(value) = store.load(&digest) {
-                if let Some(decoded) = T::from_json(&value) {
+                if let Some(decoded) = T::from_json(&value).filter(|t| accept(t)) {
                     claim.publish(value, |stats| stats.store_hits += 1);
                     return decoded;
                 }
-                // An unreadable/incompatible entry falls through to a
-                // recompute that overwrites it.
+                // An unreadable, incompatible or wrong-shaped entry falls
+                // through to a recompute that overwrites it.
             }
         }
         let result = compute();
@@ -302,23 +314,19 @@ impl Engine {
         names.push(ls.to_string());
         names.extend(batches.iter().cloned());
         key.list(&names);
-        self.run_cached(&key, &format!("smt {}", names.join(" x ")), || {
-            run_smt_colocation(&self.cfg, policy, ls, batches)
-        })
+        self.run_checked(
+            &key,
+            &format!("smt {}", names.join(" x ")),
+            |outcome: &SmtOutcome| outcome.names == names,
+            || run_smt_colocation(&self.cfg, policy, ls, batches),
+        )
     }
 
     /// One latency-sensitive × batch colocation cell under a
-    /// [`ColocationPolicy`]: the classic two-thread case of [`Engine::smt`],
-    /// repackaged as a [`PairOutcome`]. Pair and `smt` requests for the same
-    /// grouping share one cached cell.
-    pub fn pair(&self, policy: &dyn ColocationPolicy, ls: &str, batch_name: &str) -> PairOutcome {
-        let smt = self.smt(policy, ls, std::slice::from_ref(&batch_name.to_string()));
-        PairOutcome {
-            ls: ls.to_string(),
-            batch: batch_name.to_string(),
-            ls_uipc: smt.uipcs[0],
-            batch_uipc: smt.uipcs[1],
-        }
+    /// [`ColocationPolicy`]: the classic two-thread case of [`Engine::smt`].
+    /// Pair and `smt` requests for the same grouping share one cached cell.
+    pub fn pair(&self, policy: &dyn ColocationPolicy, ls: &str, batch_name: &str) -> SmtOutcome {
+        self.smt(policy, ls, &[batch_name.to_string()])
     }
 
     /// One whole-server cell: `spec` cores × threads under an
@@ -359,15 +367,19 @@ impl Engine {
         key.list(&names);
         let what =
             format!("server {} threads on {}x{}", names.len(), spec.cores, spec.threads_per_core);
-        self.run_cached(&key, &what, || {
-            run_server(&self.cfg, spec, allocation, colocation, &threads)
-        })
+        self.run_checked(
+            &key,
+            &what,
+            |outcome: &ServerOutcome| outcome.names == names && outcome.cores == placement.cores(),
+            || run_server(&self.cfg, spec, allocation, colocation, &threads),
+        )
     }
 
     /// The full colocation matrix (engine's LS × batch lists) under one
     /// policy, row-major: every batch workload for the first
-    /// latency-sensitive name, then the next.
-    pub fn matrix(&self, policy: &dyn ColocationPolicy) -> Vec<PairOutcome> {
+    /// latency-sensitive name, then the next. Each outcome is a two-slot
+    /// [`SmtOutcome`]: `names` is `[ls, batch]`.
+    pub fn matrix(&self, policy: &dyn ColocationPolicy) -> Vec<SmtOutcome> {
         let pairs: Vec<(String, String)> = self
             .ls
             .iter()
@@ -561,7 +573,7 @@ mod tests {
         assert_eq!(engine.stats().misses, 2, "different policies must not share a cell");
         // A fully private core cannot be slower than the contended baseline
         // for the batch thread.
-        assert!(b.batch_uipc >= a.batch_uipc * 0.95);
+        assert!(b.uipcs[1] >= a.uipcs[1] * 0.95);
     }
 
     #[test]
@@ -578,8 +590,8 @@ mod tests {
         );
         assert_eq!(engine.stats().misses, 2, "identical setups must not merge distinct policies");
         // Same setup + same derived seed -> identical numbers.
-        assert_eq!(a.ls_uipc.to_bits(), b.ls_uipc.to_bits());
-        assert_eq!(a.batch_uipc.to_bits(), b.batch_uipc.to_bits());
+        assert_eq!(a.uipcs[0].to_bits(), b.uipcs[0].to_bits());
+        assert_eq!(a.uipcs[1].to_bits(), b.uipcs[1].to_bits());
     }
 
     #[test]
@@ -591,8 +603,7 @@ mod tests {
         let smt = engine.smt(&EqualPartition, "web-search", &["zeusmp".to_string()]);
         assert_eq!(engine.stats().misses, 1, "pair and smt must share the cell");
         assert_eq!(engine.stats().memo_hits, 1);
-        assert_eq!(pair.ls_uipc.to_bits(), smt.uipcs[0].to_bits());
-        assert_eq!(pair.batch_uipc.to_bits(), smt.uipcs[1].to_bits());
+        assert_eq!(pair, smt);
     }
 
     #[test]
@@ -702,7 +713,7 @@ mod tests {
         }
         // The engine is still usable for valid cells afterwards.
         let ok = engine.pair(&EqualPartition, "web-search", "zeusmp");
-        assert!(ok.ls_uipc > 0.0);
+        assert!(ok.ls_uipc() > 0.0);
     }
 
     #[test]

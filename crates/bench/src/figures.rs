@@ -6,10 +6,8 @@
 //! formatting that turns them into the paper's tables. The engine memoises
 //! the cells, so rendering several figures in one process — the `figures`
 //! driver binary — computes the stand-alone reference and every shared
-//! (setup, pair) cell exactly once. The `figureNN` binaries are thin
-//! wrappers dispatching into the same [`registry`](all) via
-//! [`run_standalone_binary`], which guarantees their output is identical to
-//! the driver's.
+//! (setup, pair) cell exactly once. The driver looks figures up by name in
+//! the [`registry`](all).
 
 use std::fmt::Write as _;
 
@@ -27,7 +25,7 @@ use sim_stats::{det_sum, DistributionSummary};
 use stretch::{PinnedStretch, RobSkew, StretchMode};
 
 use crate::engine::Engine;
-use crate::harness::{parallel_map, ExperimentConfig, PairOutcome};
+use crate::harness::{parallel_map, SmtOutcome};
 use crate::report::{format_distribution_row, json, TableWriter};
 
 macro_rules! w {
@@ -144,22 +142,6 @@ pub fn render_many(engine: &Engine, specs: &[&FigureSpec], workers: usize) -> Ve
     parallel_map(indices, workers, |&i| (specs[i].render)(engine))
 }
 
-/// Shared `main` of the thin `figureNN` binaries: parse `--quick`, build a
-/// fresh (uncached) engine, render the named figure and print it. Because
-/// this dispatches into the same registry as the `figures` driver, a
-/// standalone binary's output is identical to the driver's for that figure.
-///
-/// # Panics
-///
-/// Panics if `name` is not in the registry.
-pub fn run_standalone_binary(name: &str) {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let cfg = if quick { ExperimentConfig::quick() } else { ExperimentConfig::standard() };
-    let engine = Engine::new(cfg);
-    let spec = by_name(name).unwrap_or_else(|| panic!("unknown figure {name}"));
-    print!("{}", (spec.render)(&engine));
-}
-
 /// Figure 1: Web Search average, 95th- and 99th-percentile latency as a
 /// function of load, against the 100 ms QoS target.
 pub fn figure01(engine: &Engine) -> String {
@@ -266,13 +248,13 @@ pub fn figure03(engine: &Engine) -> String {
     for ls in engine.ls_names() {
         let ls_slow: Vec<f64> = matrix
             .iter()
-            .filter(|p| &p.ls == ls)
-            .map(|p| 1.0 - p.ls_uipc / reference[&p.ls])
+            .filter(|p| &p.names[0] == ls)
+            .map(|p| 1.0 - p.ls_uipc() / reference[&p.names[0]])
             .collect();
         let batch_slow: Vec<f64> = matrix
             .iter()
-            .filter(|p| &p.ls == ls)
-            .map(|p| 1.0 - p.batch_uipc / reference[&p.batch])
+            .filter(|p| &p.names[0] == ls)
+            .map(|p| 1.0 - p.batch_throughput() / reference[&p.names[1]])
             .collect();
         w!(
             out,
@@ -342,9 +324,9 @@ pub fn figure04(engine: &Engine) -> String {
         let batch_reference = engine.standalone(batch).uipc;
         let row_outcomes = &outcomes[i * n_resources..(i + 1) * n_resources];
         let ls_cells: Vec<f64> =
-            row_outcomes.iter().map(|o| 1.0 - o.ls_uipc / ws_reference).collect();
+            row_outcomes.iter().map(|o| 1.0 - o.ls_uipc() / ws_reference).collect();
         let batch_cells: Vec<f64> =
-            row_outcomes.iter().map(|o| 1.0 - o.batch_uipc / batch_reference).collect();
+            row_outcomes.iter().map(|o| 1.0 - o.batch_throughput() / batch_reference).collect();
         rob_losses.push(batch_cells[0]);
         let mut row = vec![batch.clone()];
         row.extend(ls_cells.iter().map(|v| format!("{:.1}%", v * 100.0)));
@@ -401,8 +383,8 @@ pub fn figure05(engine: &Engine) -> String {
             let mut batch_slow = Vec::new();
             for ((cell_ls, cell_resource, cell_batch), outcome) in cells.iter().zip(&outcomes) {
                 if cell_ls == ls && *cell_resource == resource {
-                    ls_slow.push(1.0 - outcome.ls_uipc / reference[cell_ls]);
-                    batch_slow.push(1.0 - outcome.batch_uipc / reference[cell_batch]);
+                    ls_slow.push(1.0 - outcome.ls_uipc() / reference[cell_ls]);
+                    batch_slow.push(1.0 - outcome.batch_throughput() / reference[cell_batch]);
                 }
             }
             let ls_sum = det_sum(&ls_slow);
@@ -545,13 +527,13 @@ pub fn figure07(engine: &Engine) -> String {
     out
 }
 
-fn speedups(base: &[PairOutcome], other: &[PairOutcome]) -> (Vec<f64>, Vec<f64>) {
+fn speedups(base: &[SmtOutcome], other: &[SmtOutcome]) -> (Vec<f64>, Vec<f64>) {
     let mut ls = Vec::new();
     let mut batch = Vec::new();
     for (b, o) in base.iter().zip(other) {
-        assert_eq!((&b.ls, &b.batch), (&o.ls, &o.batch), "matrices must be aligned");
-        ls.push(o.ls_uipc / b.ls_uipc - 1.0);
-        batch.push(o.batch_uipc / b.batch_uipc - 1.0);
+        assert_eq!(b.names, o.names, "matrices must be aligned");
+        ls.push(o.ls_uipc() / b.ls_uipc() - 1.0);
+        batch.push(o.batch_throughput() / b.batch_throughput() - 1.0);
     }
     (ls, batch)
 }
@@ -617,8 +599,8 @@ pub fn figure10(engine: &Engine) -> String {
         let mut speedups: Vec<(String, f64)> = baseline
             .iter()
             .zip(&b_mode)
-            .filter(|(b, _)| &b.ls == ls)
-            .map(|(b, s)| (b.batch.clone(), s.batch_uipc / b.batch_uipc - 1.0))
+            .filter(|(b, _)| &b.names[0] == ls)
+            .map(|(b, s)| (b.names[1].clone(), s.batch_throughput() / b.batch_throughput() - 1.0))
             .collect();
         speedups.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("no NaN speedups"));
         let mut table = TableWriter::new(
@@ -658,14 +640,14 @@ pub fn figure11(engine: &Engine) -> String {
         let batch_slow: Vec<f64> = baseline
             .iter()
             .zip(&dynamic)
-            .filter(|(b, _)| &b.ls == ls)
-            .map(|(b, d)| 1.0 - d.batch_uipc / b.batch_uipc)
+            .filter(|(b, _)| &b.names[0] == ls)
+            .map(|(b, d)| 1.0 - d.batch_throughput() / b.batch_throughput())
             .collect();
         let ls_speed: Vec<f64> = baseline
             .iter()
             .zip(&dynamic)
-            .filter(|(b, _)| &b.ls == ls)
-            .map(|(b, d)| d.ls_uipc / b.ls_uipc - 1.0)
+            .filter(|(b, _)| &b.names[0] == ls)
+            .map(|(b, d)| d.ls_uipc() / b.ls_uipc() - 1.0)
             .collect();
         w!(
             out,
@@ -701,12 +683,14 @@ pub fn figure11(engine: &Engine) -> String {
     out
 }
 
-fn per_ls_average(baseline: &[PairOutcome], other: &[PairOutcome], ls: &str) -> (f64, f64) {
-    let pairs: Vec<(&PairOutcome, &PairOutcome)> =
-        baseline.iter().zip(other).filter(|(b, _)| b.ls == ls).collect();
+fn per_ls_average(baseline: &[SmtOutcome], other: &[SmtOutcome], ls: &str) -> (f64, f64) {
+    let pairs: Vec<(&SmtOutcome, &SmtOutcome)> =
+        baseline.iter().zip(other).filter(|(b, _)| b.names[0] == ls).collect();
     let n = pairs.len() as f64;
-    let ls_slow = pairs.iter().map(|(b, o)| 1.0 - o.ls_uipc / b.ls_uipc).sum::<f64>() / n;
-    let batch_speed = pairs.iter().map(|(b, o)| o.batch_uipc / b.batch_uipc - 1.0).sum::<f64>() / n;
+    let ls_slow = pairs.iter().map(|(b, o)| 1.0 - o.ls_uipc() / b.ls_uipc()).sum::<f64>() / n;
+    let batch_speed =
+        pairs.iter().map(|(b, o)| o.batch_throughput() / b.batch_throughput() - 1.0).sum::<f64>()
+            / n;
     (ls_slow, batch_speed)
 }
 
@@ -715,7 +699,7 @@ fn per_ls_average(baseline: &[PairOutcome], other: &[PairOutcome], ls: &str) -> 
 pub fn figure12(engine: &Engine) -> String {
     let baseline = engine.matrix(&EqualPartition);
 
-    let mut configs: Vec<(String, Vec<PairOutcome>)> = Vec::new();
+    let mut configs: Vec<(String, Vec<SmtOutcome>)> = Vec::new();
     for ratio in FETCH_THROTTLING_RATIOS {
         let matrix = engine.matrix(&FetchThrottling::new(ThreadId::T0, ratio));
         configs.push((format!("FT 1:{ratio}"), matrix));
@@ -763,10 +747,11 @@ pub fn figure12(engine: &Engine) -> String {
     out
 }
 
-fn average_batch_speedup(baseline: &[PairOutcome], other: &[PairOutcome], ls: &str) -> f64 {
-    let pairs: Vec<(&PairOutcome, &PairOutcome)> =
-        baseline.iter().zip(other).filter(|(b, _)| b.ls == ls).collect();
-    pairs.iter().map(|(b, o)| o.batch_uipc / b.batch_uipc - 1.0).sum::<f64>() / pairs.len() as f64
+fn average_batch_speedup(baseline: &[SmtOutcome], other: &[SmtOutcome], ls: &str) -> f64 {
+    let pairs: Vec<(&SmtOutcome, &SmtOutcome)> =
+        baseline.iter().zip(other).filter(|(b, _)| b.names[0] == ls).collect();
+    pairs.iter().map(|(b, o)| o.batch_throughput() / b.batch_throughput() - 1.0).sum::<f64>()
+        / pairs.len() as f64
 }
 
 /// Figure 13: ideal software scheduling versus Stretch versus both combined.
@@ -1178,6 +1163,7 @@ pub fn tables(_engine: &Engine, as_json: bool) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::ExperimentConfig;
 
     #[test]
     fn registry_covers_every_binary() {

@@ -1,12 +1,11 @@
 //! Shared experiment machinery: the experiment configuration, the worker
 //! pool, and the per-cell [`Scenario`] runners the engine memoises.
 //!
-//! The old free-standing matrix runners (`run_matrix`, `run_matrix_on`, …)
-//! are gone: all matrix-shaped work goes through [`crate::Engine`], which
-//! funnels every colocation cell into [`run_smt_colocation`] — one
+//! All matrix-shaped work goes through [`crate::Engine`], which funnels
+//! every colocation cell into [`run_smt_colocation`] — one
 //! [`cpu_sim::Scenario`] over `1 + N` hardware threads under one
-//! [`ColocationPolicy`] ([`run_single_pair`] is its classic `N = 1` face) —
-//! and every whole-server cell into [`run_server`], a
+//! [`ColocationPolicy`], the classic pair being its `N = 1` case — and
+//! every whole-server cell into [`run_server`], a
 //! [`cpu_sim::ServerScenario`] under an [`AllocationPolicy`] on top.
 
 use cpu_sim::{
@@ -31,7 +30,7 @@ pub struct ExperimentConfig {
 }
 
 impl ExperimentConfig {
-    /// The standard configuration used by the figure binaries.
+    /// The standard configuration used by the `figures` driver.
     pub fn standard() -> ExperimentConfig {
         ExperimentConfig {
             core: CoreConfig::default(),
@@ -41,7 +40,7 @@ impl ExperimentConfig {
         }
     }
 
-    /// A reduced configuration for tests and criterion benches.
+    /// A reduced configuration for tests and CI runs.
     pub fn quick() -> ExperimentConfig {
         ExperimentConfig {
             core: CoreConfig::default(),
@@ -82,23 +81,10 @@ impl Default for ExperimentConfig {
     }
 }
 
-/// Outcome of one latency-sensitive × batch colocation run.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PairOutcome {
-    /// Latency-sensitive workload name (thread 0).
-    pub ls: String,
-    /// Batch workload name (thread 1).
-    pub batch: String,
-    /// UIPC of the latency-sensitive thread.
-    pub ls_uipc: f64,
-    /// UIPC of the batch thread.
-    pub batch_uipc: f64,
-}
-
 /// Outcome of one latency-sensitive × N-batch SMT colocation run: per-slot
 /// workload names and UIPCs, with the latency-sensitive service in slot 0
 /// and the batch co-runners following in offer order.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SmtOutcome {
     /// Workload names in hardware-thread slot order (LS service first).
     pub names: Vec<String>,
@@ -122,7 +108,7 @@ impl SmtOutcome {
 /// chose plus every offered thread's UIPC. Thread 0 is the latency-sensitive
 /// service, the batch jobs follow in offer order (the [`crate::Engine`]
 /// server-cell convention).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServerOutcome {
     /// Offered workload names (index = thread index, LS service first).
     pub names: Vec<String>,
@@ -199,28 +185,6 @@ pub fn run_smt_colocation(
     SmtOutcome { names, uipcs }
 }
 
-/// Runs one latency-sensitive × batch pairing under a policy: the classic
-/// two-thread case of [`run_smt_colocation`], repackaged as a
-/// [`PairOutcome`].
-///
-/// # Panics
-///
-/// Panics if either workload name is unknown.
-pub fn run_single_pair(
-    cfg: &ExperimentConfig,
-    policy: &dyn ColocationPolicy,
-    ls: &str,
-    batch_name: &str,
-) -> PairOutcome {
-    let smt = run_smt_colocation(cfg, policy, ls, std::slice::from_ref(&batch_name.to_string()));
-    PairOutcome {
-        ls: ls.to_string(),
-        batch: batch_name.to_string(),
-        ls_uipc: smt.uipcs[0],
-        batch_uipc: smt.uipcs[1],
-    }
-}
-
 /// Runs a whole server — `spec.cores` cores × `spec.threads_per_core` SMT
 /// threads — under one [`AllocationPolicy`] (which thread lands on which
 /// core) and one [`ColocationPolicy`] (how every occupied core shares its
@@ -281,11 +245,10 @@ mod tests {
     #[test]
     fn single_pair_runs_and_reports_both_threads() {
         let cfg = ExperimentConfig::quick();
-        let out = run_single_pair(&cfg, &EqualPartition, "web-search", "zeusmp");
-        assert_eq!(out.ls, "web-search");
-        assert_eq!(out.batch, "zeusmp");
-        assert!(out.ls_uipc > 0.0);
-        assert!(out.batch_uipc > 0.0);
+        let out = run_smt_colocation(&cfg, &EqualPartition, "web-search", &["zeusmp".to_string()]);
+        assert_eq!(out.names, ["web-search", "zeusmp"]);
+        assert_eq!(out.uipcs.len(), 2);
+        assert!(out.uipcs.iter().all(|&u| u > 0.0));
     }
 
     #[test]

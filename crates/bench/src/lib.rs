@@ -5,8 +5,7 @@
 //! the repository root.
 //!
 //! The `figures` driver binary regenerates any subset of the paper's
-//! evaluation in a single process; the `figureNN` binaries are thin wrappers
-//! over the same figure definitions. This library holds the shared
+//! evaluation in a single process. This library holds the shared
 //! machinery:
 //!
 //! * [`engine`] — the shared experiment engine: runs every distinct
@@ -16,7 +15,7 @@
 //!   collision-free canonical digest of core config, setup, pairing, seed
 //!   and simulation length;
 //! * [`figures`] — every figure/table of the paper as a declarative
-//!   renderer over the engine, plus the registry the binaries dispatch on;
+//!   renderer over the engine, plus the registry the driver dispatches on;
 //! * [`harness`] — the experiment configuration, the shared
 //!   [`harness::parallel_map`] worker pool, and the per-cell
 //!   [`cpu_sim::Scenario`] runners the engine memoises: SMT colocations of
@@ -31,9 +30,6 @@
 //!   wall-clock measurement, the schema-versioned `BENCH_<label>.json`
 //!   report, and the regression gate behind the `perf` binary and the CI
 //!   perf job.
-//!
-//! The same entry points back the criterion benches in `benches/`, scaled
-//! down via [`cpu_sim::SimLength::quick`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,8 +42,6 @@ pub mod report;
 pub mod store;
 
 pub use engine::{CacheStats, Engine};
-pub use harness::{
-    batch_names, ls_names, pair_seed, ExperimentConfig, PairOutcome, ServerOutcome, SmtOutcome,
-};
+pub use harness::{batch_names, ls_names, pair_seed, ExperimentConfig, ServerOutcome, SmtOutcome};
 pub use report::{format_cache_stats, format_distribution_row, format_percent, TableWriter};
 pub use store::{JsonCodec, ResultStore};

@@ -31,9 +31,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use cluster_sim::{CaseStudy, FleetScale, FleetTopology, LoadBalancer, TailAccumulation};
-use cpu_sim::{EqualPartition, Scenario, SimLength};
+use cpu_sim::{
+    pair_seed, run_core, ColocationPolicy, EqualPartition, Scenario, SimLength, SmtCoreBuilder,
+};
 use serde_json::Value;
-use sim_model::{ThreadId, TraceSource};
+use sim_model::{CoreConfig, ThreadId, TraceSource};
 use sim_qos::{latency_vs_load, slack_curve, ServiceSpec, SimParams};
 use stretch::{PinnedStretch, RobSkew, StretchMode};
 use workloads::profile_by_name;
@@ -111,6 +113,33 @@ fn bench_cpu_pair_baseline() -> BenchWork {
 
 fn bench_cpu_pair_bmode() -> BenchWork {
     bench_cpu_pair(true)
+}
+
+/// The `cpu/colocate-baseline` pair with the `Scenario` layer peeled off:
+/// the core is built from the policy's setup and driven through `run_core`
+/// directly, deriving each thread's seed exactly as the scenario does. Timed
+/// beside `cpu/dispatch-scenario`, the delta is what the builder and boxed
+/// policy cost per run; `tests/perf.rs` pins the two bit-identical.
+fn bench_cpu_pair_direct() -> BenchWork {
+    let core = CoreConfig::default();
+    let ls = profile_by_name("web-search").expect("known ls workload");
+    let batch = profile_by_name("zeusmp").expect("known batch workload");
+    let seed = pair_seed(42, "web-search", "zeusmp");
+    let mut smt = EqualPartition
+        .setup(&core)
+        .apply(SmtCoreBuilder::new(core))
+        .thread(ThreadId::T0, ls.spawn(seed))
+        .thread(ThreadId::T1, batch.spawn(seed ^ 1))
+        .build();
+    let names = vec![Some("web-search".to_string()), Some("zeusmp".to_string())];
+    let r = run_core(&mut smt, names, SimLength::quick());
+    let t0 = r.expect_thread(ThreadId::T0);
+    let t1 = r.expect_thread(ThreadId::T1);
+    BenchWork {
+        sim_cycles: t0.cycles.max(t1.cycles),
+        requests: 0,
+        fingerprint: fingerprint([t0.uipc, t1.uipc]),
+    }
 }
 
 fn bench_cpu_smt4() -> BenchWork {
@@ -257,7 +286,7 @@ fn bench_figures_quick_matrix() -> BenchWork {
 
 /// The benchmark registry, cheap layers first so `perf` gives early signal.
 pub fn registry() -> &'static [BenchSpec] {
-    const ALL: [BenchSpec; 10] = [
+    const ALL: [BenchSpec; 12] = [
         BenchSpec {
             name: "cpu/colocate-baseline",
             layer: "cpu",
@@ -269,6 +298,18 @@ pub fn registry() -> &'static [BenchSpec] {
             layer: "cpu",
             title: "web-search x zeusmp quick pair under Stretch B-mode 56-136",
             run: bench_cpu_pair_bmode,
+        },
+        BenchSpec {
+            name: "cpu/dispatch-scenario",
+            layer: "cpu",
+            title: "web-search x zeusmp quick pair via Scenario + boxed policy",
+            run: bench_cpu_pair_baseline,
+        },
+        BenchSpec {
+            name: "cpu/dispatch-run-core",
+            layer: "cpu",
+            title: "the same pair built by hand and driven by run_core directly",
+            run: bench_cpu_pair_direct,
         },
         BenchSpec {
             name: "cpu/smt4-pair",

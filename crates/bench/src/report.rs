@@ -1,4 +1,4 @@
-//! Plain-text report formatting shared by the figure binaries.
+//! Plain-text report formatting shared by the binaries.
 
 use sim_stats::DistributionSummary;
 use std::fmt::Write as _;
@@ -36,7 +36,7 @@ pub fn format_cache_stats(stats: &crate::engine::CacheStats) -> String {
     )
 }
 
-/// A minimal fixed-width table writer for the figure binaries.
+/// A minimal fixed-width table writer for the figures.
 #[derive(Debug, Default, Clone)]
 pub struct TableWriter {
     title: String,

@@ -15,9 +15,9 @@
 //! and recomputed. Wipe the cache by deleting the directory (or via
 //! [`ResultStore::wipe`]).
 //!
-//! The vendored `serde` derives are markers only (see `vendor/README.md`),
-//! so persistence goes through the explicit [`JsonCodec`] conversion trait
-//! rather than `Serialize`. Round-trips are bit-exact for `f64` because the
+//! Persistence goes through the explicit [`JsonCodec`] conversion trait:
+//! each payload type spells out its encoding and the shape its decoder
+//! accepts. Round-trips are bit-exact for `f64` because the
 //! serialiser prints shortest-representation floats and the parser restores
 //! the identical bits — a warm-cache figure run renders byte-identical
 //! tables.
@@ -31,10 +31,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::harness::{PairOutcome, ServerOutcome, SmtOutcome};
+use crate::harness::{ServerOutcome, SmtOutcome};
 
-/// Explicit JSON conversion for store payloads (the vendored serde derives
-/// are no-op markers, so each payload type spells out its encoding).
+/// Explicit JSON conversion for store payloads: each payload type spells
+/// out its encoding.
 pub trait JsonCodec: Sized {
     /// Encodes `self` as a JSON value.
     fn to_json(&self) -> Value;
@@ -89,34 +89,17 @@ impl JsonCodec for usize {
     }
 }
 
-impl JsonCodec for PairOutcome {
-    fn to_json(&self) -> Value {
-        obj(vec![
-            ("ls", Value::from(self.ls.as_str())),
-            ("batch", Value::from(self.batch.as_str())),
-            ("ls_uipc", Value::from(self.ls_uipc)),
-            ("batch_uipc", Value::from(self.batch_uipc)),
-        ])
-    }
-    fn from_json(value: &Value) -> Option<PairOutcome> {
-        Some(PairOutcome {
-            ls: value.get("ls")?.as_str()?.to_string(),
-            batch: value.get("batch")?.as_str()?.to_string(),
-            ls_uipc: value.get("ls_uipc")?.as_f64()?,
-            batch_uipc: value.get("batch_uipc")?.as_f64()?,
-        })
-    }
-}
-
 impl JsonCodec for SmtOutcome {
     fn to_json(&self) -> Value {
         obj(vec![("names", self.names.to_json()), ("uipcs", self.uipcs.to_json())])
     }
+    /// Rejects an entry whose `uipcs` are not aligned with its `names`.
     fn from_json(value: &Value) -> Option<SmtOutcome> {
-        Some(SmtOutcome {
+        let outcome = SmtOutcome {
             names: Vec::from_json(value.get("names")?)?,
             uipcs: Vec::from_json(value.get("uipcs")?)?,
-        })
+        };
+        (outcome.uipcs.len() == outcome.names.len()).then_some(outcome)
     }
 }
 
@@ -128,12 +111,17 @@ impl JsonCodec for ServerOutcome {
             ("uipcs", self.uipcs.to_json()),
         ])
     }
+    /// Rejects an entry whose `uipcs` or placed threads do not number its
+    /// `names`.
     fn from_json(value: &Value) -> Option<ServerOutcome> {
-        Some(ServerOutcome {
+        let outcome = ServerOutcome {
             names: Vec::from_json(value.get("names")?)?,
             cores: Vec::from_json(value.get("cores")?)?,
             uipcs: Vec::from_json(value.get("uipcs")?)?,
-        })
+        };
+        let n = outcome.names.len();
+        let placed: usize = outcome.cores.iter().map(Vec::len).sum();
+        (outcome.uipcs.len() == n && placed == n).then_some(outcome)
     }
 }
 
@@ -412,19 +400,17 @@ mod tests {
     #[test]
     fn save_load_round_trips_pair_outcomes() {
         let store = temp_store("pair");
-        let outcome = PairOutcome {
-            ls: "web-search".to_string(),
-            batch: "zeusmp".to_string(),
-            ls_uipc: 1.2345678901234567,
-            batch_uipc: 0.9876543210987654,
+        let outcome = SmtOutcome {
+            names: vec!["web-search".to_string(), "zeusmp".to_string()],
+            uipcs: vec![1.2345678901234567, 0.9876543210987654],
         };
         store
             .save("abc123", "pair web-search x zeusmp", &outcome.to_json())
             .expect("a fresh temp store is writable");
-        let loaded = PairOutcome::from_json(&store.load("abc123").expect("present"))
+        let loaded = SmtOutcome::from_json(&store.load("abc123").expect("present"))
             .expect("a saved outcome decodes back");
         assert_eq!(loaded, outcome);
-        assert_eq!(loaded.ls_uipc.to_bits(), outcome.ls_uipc.to_bits(), "f64 must be bit-exact");
+        assert_eq!(loaded.uipcs[1].to_bits(), outcome.uipcs[1].to_bits(), "f64 must be bit-exact");
         assert_eq!(store.entries().expect("the store directory is listable"), 1);
         let _ = fs::remove_dir_all(store.dir());
     }
@@ -450,6 +436,13 @@ mod tests {
         assert_eq!(restored, server);
         // A malformed placement is a miss, not a panic.
         assert!(ServerOutcome::from_json(&obj(vec![("names", Value::Null)])).is_none());
+        // So is a well-formed one whose lengths disagree with its names.
+        let short_uipcs = ServerOutcome { uipcs: smt.uipcs[..2].to_vec(), ..server.clone() };
+        let short_cores = ServerOutcome { cores: vec![vec![0], vec![1]], ..server };
+        assert!(ServerOutcome::from_json(&short_uipcs.to_json()).is_none());
+        assert!(ServerOutcome::from_json(&short_cores.to_json()).is_none());
+        let short_smt = SmtOutcome { uipcs: smt.uipcs[..2].to_vec(), ..smt };
+        assert!(SmtOutcome::from_json(&short_smt.to_json()).is_none());
     }
 
     #[test]

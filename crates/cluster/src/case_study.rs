@@ -9,14 +9,13 @@
 use crate::diurnal::DiurnalPattern;
 use crate::fleet::{self, Fleet, FleetConfig, FleetReport, FleetScale, LoadBalancer};
 use crate::topology::{FleetTopology, TailAccumulation};
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 use sim_qos::{ArrivalProcess, ServiceSpec};
 use stretch::orchestrator::{ModePerformance, PerformanceTable};
 use stretch::{MonitorConfig, RobSkew, StretchConfig, StretchMode};
 
 /// One cluster case study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseStudy {
     /// The diurnal load pattern of the latency-sensitive service.
     pub pattern: DiurnalPattern,
@@ -111,7 +110,7 @@ impl CaseStudy {
     /// matching the accounting's assumption that disengaged intervals run
     /// at baseline throughput.
     pub fn fleet_config(&self, balancer: LoadBalancer, scale: FleetScale) -> FleetConfig {
-        self.calibrated_fleet_config(balancer, scale).0
+        self.calibrate(self.base_fleet_config(balancer, scale)).0
     }
 
     /// The study's fleet configuration before threshold calibration (the
@@ -150,16 +149,10 @@ impl CaseStudy {
         }
     }
 
-    /// The calibration loop shared by [`CaseStudy::fleet`] and
-    /// [`CaseStudy::fleet_config`]: one peak bisection, one threshold
-    /// calibration, one owned config — `fleet_config` used to build (and
-    /// throw away) an entire `Fleet` just to clone its config back out.
-    fn calibrated_fleet_config(
-        &self,
-        balancer: LoadBalancer,
-        scale: FleetScale,
-    ) -> (FleetConfig, f64) {
-        let mut cfg = self.base_fleet_config(balancer, scale);
+    /// The calibration loop shared by every fleet constructor: one peak
+    /// bisection and one threshold calibration on `cfg`, returning the
+    /// calibrated config and the measured peak.
+    fn calibrate(&self, mut cfg: FleetConfig) -> (FleetConfig, f64) {
         let peak_rps = fleet::measured_peak_rps(&cfg);
         cfg.monitor = fleet::calibrated_monitor_with_peak(&cfg, self.engage_below, peak_rps);
         (cfg, peak_rps)
@@ -169,7 +162,7 @@ impl CaseStudy {
     /// once and reusing it for both the threshold calibration and the day's
     /// run (the peak does not depend on the monitor being derived).
     pub fn fleet(&self, balancer: LoadBalancer, scale: FleetScale) -> Fleet {
-        let (cfg, peak_rps) = self.calibrated_fleet_config(balancer, scale);
+        let (cfg, peak_rps) = self.calibrate(self.base_fleet_config(balancer, scale));
         Fleet::with_peak(cfg, peak_rps)
     }
 
@@ -198,6 +191,13 @@ impl CaseStudy {
     /// a 10k-server configuration stays cheap. The global `balancer` only
     /// matters for a `Flat` topology; racked fleets dispatch through the
     /// topology's rack balancer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`FleetConfig::validate`] message when the scale,
+    /// topology, tail policy or day count is invalid — checked before the
+    /// peak bisection, which assumes a valid shape — or when the calibrated
+    /// config is.
     pub fn fleet_config_with(
         &self,
         balancer: LoadBalancer,
@@ -205,8 +205,12 @@ impl CaseStudy {
         topology: FleetTopology,
         tails: TailAccumulation,
         days: usize,
-    ) -> FleetConfig {
-        self.calibrated_fleet_config_with(balancer, scale, topology, tails, days).0
+    ) -> Result<FleetConfig, String> {
+        let shape = self.fleet_shape(balancer, scale, topology, tails, days);
+        shape.validate()?;
+        let (cfg, _) = self.calibrate(shape);
+        cfg.validate()?;
+        Ok(cfg)
     }
 
     /// [`CaseStudy::fleet`] over [`CaseStudy::fleet_config_with`]'s
@@ -220,25 +224,20 @@ impl CaseStudy {
         days: usize,
     ) -> Fleet {
         let (cfg, peak_rps) =
-            self.calibrated_fleet_config_with(balancer, scale, topology, tails, days);
+            self.calibrate(self.fleet_shape(balancer, scale, topology, tails, days));
         Fleet::with_peak(cfg, peak_rps)
     }
 
-    fn calibrated_fleet_config_with(
+    /// [`CaseStudy::base_fleet_config`] with the datacenter knobs applied.
+    fn fleet_shape(
         &self,
         balancer: LoadBalancer,
         scale: FleetScale,
         topology: FleetTopology,
         tails: TailAccumulation,
         days: usize,
-    ) -> (FleetConfig, f64) {
-        let mut cfg = self.base_fleet_config(balancer, scale);
-        cfg.topology = topology;
-        cfg.tails = tails;
-        cfg.days = days;
-        let peak_rps = fleet::measured_peak_rps(&cfg);
-        cfg.monitor = fleet::calibrated_monitor_with_peak(&cfg, self.engage_below, peak_rps);
-        (cfg, peak_rps)
+    ) -> FleetConfig {
+        FleetConfig { topology, tails, days, ..self.base_fleet_config(balancer, scale) }
     }
 }
 
@@ -252,7 +251,7 @@ impl CanonicalKey for CaseStudy {
 }
 
 /// Result of a case study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CaseStudyReport {
     /// Hours per day during which B-mode was engaged.
     pub hours_engaged: f64,

@@ -6,12 +6,11 @@
 //! their peak, with the Web Search cluster spending ≈11 hours and the video
 //! cluster ≈17 hours of the day below 85% of peak load.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 use std::f64::consts::PI;
 
 /// One sampled point of a diurnal curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadSample {
     /// Hour of day, `0.0 ..= 24.0`.
     pub hour: f64,
@@ -20,7 +19,7 @@ pub struct LoadSample {
 }
 
 /// A parametric diurnal load pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DiurnalPattern {
     /// Web Search query rate: a broad daytime plateau peaking in the early
     /// afternoon, with a deep overnight trough (Figure 14a).

@@ -67,7 +67,6 @@
 use crate::diurnal::DiurnalPattern;
 use crate::topology::{FleetTopology, TailAccumulation};
 use cpu_sim::{ColocationPolicy, QosObservation};
-use serde::{Deserialize, Serialize};
 use sim_model::{parallel_map, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{ArrivalGenerator, ArrivalProcess, ServiceSpec};
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
@@ -75,7 +74,7 @@ use stretch::orchestrator::PerformanceTable;
 use stretch::{ClosedLoopStretch, MonitorConfig, QosPolicy, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LoadBalancer {
     /// Cycle through the servers in order, ignoring their state.
     RoundRobin,
@@ -123,7 +122,7 @@ impl CanonicalKey for LoadBalancer {
 /// requests per server per control interval (the measurement budget — the
 /// simulated slice of each interval, exactly as [`sim_qos::SimParams::quick`] is a
 /// slice of a single-server run).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FleetScale {
     /// Number of servers in the fleet.
     pub servers: usize,
@@ -160,7 +159,7 @@ impl CanonicalKey for FleetScale {
 }
 
 /// Full configuration of a fleet run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetConfig {
     /// Number of servers.
     pub servers: usize,
@@ -695,7 +694,7 @@ pub fn calibrated_monitor_with_peak(
 /// `measured_servers` counts the servers whose interval actually resolved
 /// a tail; the remaining `servers - measured_servers` were starved
 /// (unmeasured), contributed no tail sample and fed their monitor nothing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetIntervalReport {
     /// Hour of day at the interval start.
     pub hour: f64,
@@ -720,7 +719,7 @@ pub struct FleetIntervalReport {
 /// A server can sit idle for whole intervals (`starved_intervals` counts
 /// them); those intervals produce no tail sample, no QoS violation and no
 /// monitor observation — the controller simply holds its previous mode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServerSummary {
     /// Intervals this server spent in B-mode.
     pub engaged_intervals: usize,
@@ -739,7 +738,7 @@ pub struct ServerSummary {
 }
 
 /// Result of a fleet run (`days` × 24 hours).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
     /// Per-interval telemetry, in time order.
     pub intervals: Vec<FleetIntervalReport>,

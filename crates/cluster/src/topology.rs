@@ -23,13 +23,12 @@
 //! Both choices are part of a run's cache identity.
 
 use crate::fleet::LoadBalancer;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
 /// A two-tier cluster → rack topology: `racks` equal racks of
 /// `servers / racks` machines each, with `rack_balancer` dispatching inside
 /// every rack.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RackTopology {
     /// Number of racks; must divide the fleet's server count evenly.
     pub racks: usize,
@@ -39,7 +38,7 @@ pub struct RackTopology {
 
 /// How the fleet's servers are organised for dispatch (and, consequently,
 /// how the simulation shards).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FleetTopology {
     /// One global balancer over all servers — the historical single-shard
     /// fleet. Exact bit-compatibility with pre-topology runs.
@@ -119,7 +118,7 @@ impl CanonicalKey for FleetTopology {
 }
 
 /// How day- and fleet-level sojourn collections are retained.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TailAccumulation {
     /// Retain every raw sojourn sample (exact percentiles; memory grows with
     /// the request count — the historical behaviour, fine at test scale).

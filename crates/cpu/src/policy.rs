@@ -28,7 +28,6 @@
 //! each is a one-file implementation of this trait.
 
 use crate::runner::CoreSetup;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
 
 /// One interval's QoS telemetry, fed to a policy's closed-loop hook.
@@ -79,7 +78,7 @@ pub enum PolicyAction {
 ///
 /// The classic paper configuration is [`ColocationTopology::pair`]: two
 /// threads with the LS service on T0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColocationTopology {
     threads: usize,
     ls_thread: ThreadId,

@@ -9,13 +9,12 @@ use crate::core::{SmtCore, SmtCoreBuilder};
 use crate::fetch::FetchPolicy;
 use crate::partition::PartitionPolicy;
 use mem_sim::Sharing;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
 use sim_stats::{Histogram, SamplingPlan};
 
 /// How long to simulate: per-thread warm-up and measurement instruction
 /// counts plus a cycle safety cap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimLength {
     /// Instructions committed per thread before measurement starts.
     pub warmup_instructions: u64,
@@ -64,7 +63,7 @@ impl CanonicalKey for SimLength {
 }
 
 /// Result for one hardware thread of a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadRunResult {
     /// Workload name.
     pub name: String,
@@ -80,7 +79,7 @@ pub struct ThreadRunResult {
 }
 
 /// Result of a (possibly colocated) run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ColocationResult {
     /// Per-thread results, one slot per hardware thread; `None` for an
     /// inactive thread.
@@ -121,7 +120,7 @@ impl ColocationResult {
 /// Describes one complete core setup for a run: sharing modes, partitioning
 /// and fetch policy. Used by the experiment harnesses to express the paper's
 /// configurations declaratively.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoreSetup {
     /// ROB/LSQ partitioning.
     pub partition: PartitionPolicy,

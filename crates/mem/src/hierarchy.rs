@@ -17,11 +17,10 @@
 use crate::cache::{SetAssocCache, Sharing, ThreadedCache};
 use crate::mshr::{MshrFile, MshrOutcome};
 use crate::prefetch::StridePrefetcher;
-use serde::{Deserialize, Serialize};
 use sim_model::{CacheConfig, CoreConfig, Cycle, ThreadId};
 
 /// Configuration of the full hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HierarchyConfig {
     /// Number of SMT hardware threads sharing the hierarchy (T >= 1).
     pub threads: usize,
@@ -71,16 +70,6 @@ impl HierarchyConfig {
             prefetch_queue_depth: 8,
         }
     }
-
-    /// Same as [`HierarchyConfig::from_core`] but with private (contention
-    /// free) L1 caches, used by the ideal-software-scheduling baseline and the
-    /// per-resource study.
-    pub fn from_core_private_l1(core: &CoreConfig) -> HierarchyConfig {
-        let mut cfg = HierarchyConfig::from_core(core);
-        cfg.l1i_sharing = Sharing::PrivatePerThread;
-        cfg.l1d_sharing = Sharing::PrivatePerThread;
-        cfg
-    }
 }
 
 /// Outcome of a data-load access.
@@ -101,7 +90,7 @@ pub enum LoadResult {
 }
 
 /// Aggregate hierarchy statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// Demand loads observed.
     pub loads: u64,
@@ -121,7 +110,7 @@ pub struct HierarchyStats {
     pub mshr_rejections: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PendingPrefetch {
     block: u64,
     completion: Cycle,

@@ -7,11 +7,10 @@
 //! (Markov-modulated Poisson process) that alternates between a calm and a
 //! bursty state; a plain Poisson process is also available.
 
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, SimRng};
 
 /// An open-loop arrival process generating inter-arrival gaps (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalProcess {
     /// Poisson arrivals at the given average rate (requests per second).
     Poisson {

@@ -8,12 +8,11 @@
 
 use crate::arrival::{ArrivalGenerator, ArrivalProcess};
 use crate::service::ServiceSpec;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, SimRng};
 use sim_stats::Percentiles;
 
 /// Parameters of one server simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Number of requests to simulate (after warm-up).
     pub requests: usize,
@@ -74,7 +73,7 @@ impl CanonicalKey for SimParams {
 }
 
 /// Latency summary of a run (milliseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Mean sojourn time.
     pub mean_ms: f64,

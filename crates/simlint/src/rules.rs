@@ -76,8 +76,7 @@ pub const RULES: &[RuleInfo] = &[
         summary: "no Instant::now/SystemTime/thread_rng/env reads: simulation time comes from \
                   the cycle counter and entropy from seeded SimRng streams",
         scope: "all first-party non-test code; module-scoped exemption: bench::perf (the perf \
-                harness measures wall clocks by design); the vendored criterion shim is outside \
-                the scan scope",
+                harness measures wall clocks by design)",
     },
     RuleInfo {
         id: FLOAT_EQ,
@@ -160,7 +159,7 @@ pub enum FileKind {
     Example,
     /// An integration test: exempt from determinism and panic rules.
     Test,
-    /// A criterion-style bench: exempt like test code (benches measure wall
+    /// A `benches/` source: exempt like test code (benches measure wall
     /// clocks by design).
     Bench,
 }

@@ -6,8 +6,6 @@
 //! and evaluates percentiles exactly; sample counts are small enough (tens of
 //! thousands) that an O(n log n) sort is the simplest correct choice.
 
-use serde::{Deserialize, Serialize};
-
 /// Computes the `p`-th percentile (0–100) of `samples` using linear
 /// interpolation between closest ranks.
 ///
@@ -51,7 +49,7 @@ pub fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
 
 /// A reusable percentile tracker that accumulates samples and answers common
 /// tail-latency queries (average, p95, p99, max).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Percentiles {
     samples: Vec<f64>,
 }

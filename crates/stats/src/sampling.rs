@@ -6,11 +6,9 @@
 //! reproduction keeps the same structure with configurable sizes so that the
 //! criterion benches can run scaled-down versions.
 
-use serde::{Deserialize, Serialize};
-
 /// Describes how a simulation run is split into warm-up and measurement
 /// phases, and how many samples are taken.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplingPlan {
     /// Number of independent samples (paper: 320 over 4 s of execution).
     pub samples: usize,
@@ -72,7 +70,7 @@ impl Default for SamplingPlan {
 /// averaged across samples. Harmonic vs arithmetic averaging matters little
 /// for relative comparisons; we use the ratio of totals (total instructions /
 /// total cycles), which weights samples by their duration.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct UipcAccumulator {
     total_instructions: u64,
     total_cycles: u64,

@@ -14,7 +14,6 @@
 //! exact sample percentile by at most one resolution step.
 
 use crate::histogram::Histogram;
-use serde::{Deserialize, Serialize};
 
 /// A fixed-resolution latency histogram over milliseconds.
 ///
@@ -22,7 +21,7 @@ use serde::{Deserialize, Serialize};
 /// `max_ms` lands in a catch-all bin whose reported upper edge sits one
 /// resolution step above the configured maximum. Negative and NaN inputs
 /// clamp to bin 0.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LatencyHistogram {
     resolution_ms: f64,
     hist: Histogram,

@@ -7,13 +7,12 @@
 //! `M` to the batch thread; the LSQ is partitioned proportionally.
 
 use cpu_sim::PartitionPolicy;
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, CoreConfig, KeyEncoder, ThreadId};
 use std::fmt;
 
 /// An asymmetric ROB split: entries for the latency-sensitive thread and for
 /// the batch thread (the paper's `N-M` notation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RobSkew {
     /// ROB entries assigned to the latency-sensitive thread.
     pub ls_entries: usize,
@@ -100,7 +99,7 @@ impl fmt::Display for RobSkew {
 }
 
 /// The partitioning mode currently engaged on the core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StretchMode {
     /// Equal partitioning (Stretch disabled / S-bit clear).
     Baseline,
@@ -179,7 +178,7 @@ impl fmt::Display for StretchMode {
 }
 
 /// The set of configurations provisioned at processor design time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StretchConfig {
     /// The batch-boost skew.
     pub b_mode: RobSkew,

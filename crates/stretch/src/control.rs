@@ -13,11 +13,10 @@
 
 use crate::config::{StretchConfig, StretchMode};
 use cpu_sim::SmtCore;
-use serde::{Deserialize, Serialize};
 use sim_model::ThreadId;
 
 /// The architecturally exposed Stretch control register.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ControlRegister {
     /// S-bit: Stretch engaged.
     pub s_bit: bool,

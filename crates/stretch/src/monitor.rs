@@ -16,11 +16,10 @@
 //! observation that load swings are slow and cyclical.
 
 use crate::config::{StretchConfig, StretchMode};
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder};
 
 /// Which QoS signal the monitor consumes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum QosPolicy {
     /// Drive decisions from measured tail latency versus the QoS target
     /// (the paper's primary choice: "we use tail latency as a representative
@@ -100,7 +99,7 @@ impl CanonicalKey for QosPolicy {
 }
 
 /// Monitor tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// QoS signal and thresholds.
     pub policy: QosPolicy,
@@ -129,7 +128,7 @@ impl Default for MonitorConfig {
 }
 
 /// Action the monitor requests after an observation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MonitorAction {
     /// Keep the currently engaged mode.
     Keep,
@@ -141,7 +140,7 @@ pub enum MonitorAction {
 }
 
 /// The Stretch software monitor.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SoftwareMonitor {
     stretch: StretchConfig,
     cfg: MonitorConfig,

@@ -21,14 +21,13 @@ use crate::config::{StretchConfig, StretchMode};
 use crate::monitor::MonitorConfig;
 use crate::policy::{ClosedLoopStretch, PinnedStretch};
 use cpu_sim::{ColocationPolicy, PolicyAction, QosObservation, Scenario, SimLength};
-use serde::{Deserialize, Serialize};
 use sim_model::{CanonicalKey, KeyEncoder, ThreadId};
 use sim_qos::{ArrivalProcess, ServerSim, ServiceSpec, SimParams};
 
 /// Performance of one Stretch mode relative to a stand-alone full core (for
 /// the latency-sensitive thread) and to the baseline SMT partitioning (for
 /// the batch thread).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModePerformance {
     /// Fraction of full-core single-thread performance retained by the
     /// latency-sensitive thread under this mode (colocation included).
@@ -64,7 +63,7 @@ impl CanonicalKey for ModePerformance {
 }
 
 /// Per-mode performance table used by the orchestrator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerformanceTable {
     /// Baseline (equal partitioning) performance.
     pub baseline: ModePerformance,
@@ -154,7 +153,7 @@ impl CanonicalKey for PerformanceTable {
 }
 
 /// Result of one control interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalReport {
     /// Load during the interval (fraction of peak).
     pub load: f64,
@@ -170,7 +169,7 @@ pub struct IntervalReport {
 }
 
 /// Result of a full load-trace replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DayReport {
     /// Per-interval details.
     pub intervals: Vec<IntervalReport>,

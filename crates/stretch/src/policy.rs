@@ -84,11 +84,6 @@ impl ClosedLoopStretch {
         self.monitor.mode()
     }
 
-    /// The provisioned configuration set.
-    pub fn stretch_config(&self) -> StretchConfig {
-        self.stretch
-    }
-
     /// Number of mode changes decided so far.
     pub fn mode_changes(&self) -> u64 {
         self.monitor.mode_changes()

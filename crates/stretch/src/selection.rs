@@ -9,12 +9,11 @@
 //! load, using the slack curve of Figure 2 as the safety criterion.
 
 use crate::config::{RobSkew, StretchMode};
-use serde::{Deserialize, Serialize};
 use sim_model::CoreConfig;
 
 /// One provisioned configuration together with the highest load at which it
 /// may be engaged.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadBand {
     /// Highest load (fraction of peak, exclusive) at which this skew is safe.
     pub max_load: f64,
@@ -27,7 +26,7 @@ pub struct LoadBand {
 /// Bands are kept sorted by `max_load`; at a given load the selector picks
 /// the most aggressive (most batch-favouring) skew whose band covers it, or
 /// falls back to the baseline when none does.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadIndexedSelector {
     bands: Vec<LoadBand>,
     /// Load at or above which the Q-mode (if provisioned) is engaged.

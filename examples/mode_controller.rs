@@ -56,7 +56,7 @@ fn main() {
 
     // The same loop, but with the per-mode performance MEASURED by the
     // cycle-level core model through the policy trait (quick length keeps
-    // the example fast; the figure binaries use the standard length).
+    // the example fast; the `figures` driver uses the standard length).
     let measured = PerformanceTable::measured(
         &CoreConfig::default(),
         "web-search",

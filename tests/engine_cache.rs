@@ -1,7 +1,7 @@
 //! Integration tests for the shared experiment engine and its persistent
-//! result store: save → load round-trips, cache invalidation, and the
-//! determinism guarantee that the single-process `figures` driver renders
-//! exactly what the standalone figure binaries render.
+//! result store: cache invalidation, wrong-shaped entries, and the
+//! determinism guarantee that rendering many figures from one engine gives
+//! exactly what rendering each from a fresh engine gives.
 //!
 //! Everything runs at `--quick` scale on a small sub-matrix so `cargo test`
 //! stays fast; the code paths are identical to the full-size runs.
@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use stretch_bench::figures;
 use stretch_bench::store::JsonCodec;
-use stretch_bench::{Engine, ExperimentConfig, PairOutcome, ResultStore};
+use stretch_bench::{Engine, ExperimentConfig, SmtOutcome};
 use stretch_repro::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -25,21 +25,37 @@ fn quick_engine() -> Engine {
 }
 
 #[test]
-fn result_store_round_trips_identical_pair_outcomes() {
-    let dir = temp_dir("roundtrip");
-    let store = ResultStore::open(&dir).expect("store opens");
-    let outcome = PairOutcome {
-        ls: "web-search".to_string(),
-        batch: "zeusmp".to_string(),
-        ls_uipc: 0.123_456_789_012_345_68,
-        batch_uipc: 1.987_654_321_098_765_4,
-    };
-    store.save("deadbeef", "round-trip test", &outcome.to_json()).expect("save");
-    let loaded =
-        PairOutcome::from_json(&store.load("deadbeef").expect("entry present")).expect("decodes");
-    assert_eq!(loaded, outcome);
-    assert_eq!(loaded.ls_uipc.to_bits(), outcome.ls_uipc.to_bits());
-    assert_eq!(loaded.batch_uipc.to_bits(), outcome.batch_uipc.to_bits());
+fn wrong_shaped_store_entries_are_recomputed() {
+    // A store entry that parses but has the wrong shape — UIPCs not aligned
+    // with the names, or another grouping's names — is a miss: the warm run
+    // recomputes that one cell and renders the cold run's bytes.
+    let dir = temp_dir("wrong-shape");
+    let tiny = || Engine::new(ExperimentConfig::quick()).with_sub_matrix(1, 1);
+    let cold = tiny().with_store(&dir).expect("store opens");
+    let expected = figures::figure03(&cold);
+    let store = cold.store().expect("store attached");
+
+    let digests = std::fs::read_dir(&dir)
+        .expect("store dir is listable")
+        .map(|entry| entry.expect("entry").path().file_stem().expect("stem").to_owned());
+    let (digest, good) = digests
+        .filter_map(|stem| {
+            let digest = stem.into_string().ok()?;
+            let outcome = SmtOutcome::from_json(&store.load(&digest)?)?;
+            Some((digest, outcome))
+        })
+        .next()
+        .expect("figure03 stores an smt cell");
+
+    let truncated = SmtOutcome { names: good.names.clone(), uipcs: good.uipcs[..1].to_vec() };
+    let regrouped =
+        SmtOutcome { names: good.names.iter().rev().cloned().collect(), uipcs: good.uipcs.clone() };
+    for bad in [truncated, regrouped] {
+        store.save(&digest, "wrong-shaped entry", &bad.to_json()).expect("save");
+        let warm = tiny().with_store(&dir).expect("store opens");
+        assert_eq!(figures::figure03(&warm), expected, "{bad:?} must not change the figure");
+        assert_eq!(warm.sim_runs(), 1, "only the wrong-shaped cell recomputes");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -56,7 +72,7 @@ fn engine_results_survive_restart_and_invalidate_on_key_changes() {
     let second = warm.pair(&EqualPartition, "web-search", "zeusmp");
     assert_eq!(warm.sim_runs(), 0, "identical request must be a pure cache hit");
     assert_eq!(first, second);
-    assert_eq!(first.ls_uipc.to_bits(), second.ls_uipc.to_bits());
+    assert_eq!(first.ls_uipc().to_bits(), second.ls_uipc().to_bits());
 
     // Any key component change — seed, length, core config — must miss.
     let reseeded = Engine::new(ExperimentConfig { seed: 1234, ..ExperimentConfig::quick() })
@@ -112,8 +128,7 @@ fn store_digests_distinguish_policies_not_just_setups() {
 #[test]
 fn single_process_driver_output_matches_standalone_binaries() {
     // The `figures` driver renders every figure from ONE engine, so cells are
-    // shared across figures; each standalone binary renders from a FRESH
-    // engine. Outputs must be identical — memoisation must never change
+    // shared across figures; a standalone rendering uses a FRESH engine. Outputs must be identical — memoisation must never change
     // numbers. (Figure 3 covers matrix cells plus the stand-alone reference,
     // Figure 7 stand-alone MLP runs; quick 1 × 2 sub-matrix scale keeps the
     // test fast on the single-core CI runner.)

@@ -37,6 +37,17 @@ fn instrumented_run_is_bit_identical_to_the_plain_api() {
 }
 
 #[test]
+fn dispatch_overhead_entries_agree_bit_for_bit() {
+    // The two dispatch entries time the same pair with and without the
+    // Scenario layer; the abstraction must cost wall clock only, never bits.
+    let via_scenario = (perf::by_name("cpu/dispatch-scenario").expect("registered").run)();
+    let via_run_core = (perf::by_name("cpu/dispatch-run-core").expect("registered").run)();
+    assert_eq!(via_scenario.fingerprint, via_run_core.fingerprint);
+    assert_eq!(via_scenario.sim_cycles, via_run_core.sim_cycles);
+    assert_eq!(via_scenario.fingerprint, direct_cpu_baseline_fingerprint());
+}
+
+#[test]
 fn measurement_is_idempotent_across_repeats() {
     // Warm-up + repeated measured runs must leave no state behind that
     // changes a later run: fingerprints are identical on every invocation.
