@@ -24,15 +24,19 @@
 //!   to service-time stretch shared with the fleet simulation).
 //! * [`arrival`] — Poisson and bursty (two-state MMPP) open-loop arrivals,
 //!   validated at construction ([`arrival::ArrivalProcess::validate`]).
-//! * [`server::ServerSim`] — FCFS multi-worker queue, percentile collection.
+//! * [`server::WorkerPool`] — the one queueing kernel, a FCFS k-worker
+//!   queue shared with the fleet; [`server::bisect_peak_rps`] is the one
+//!   peak search.
+//! * [`server::ServerSim`] — one server over a [`server::WorkerPool`],
+//!   percentile collection.
 //! * [`sweep`] — latency-versus-load curves (Figure 1).
 //! * [`slack`] — minimum performance meeting QoS per load level (Figure 2).
 //!
 //! The `cluster_sim` crate scales this single-server model to a datacenter:
-//! its fleet simulation dispatches one arrival stream over N servers whose
-//! per-request queueing follows the same FCFS/worker mechanics modelled
-//! here, and calibrates Stretch's engagement thresholds from the tails the
-//! queueing model produces.
+//! its fleet simulation dispatches one arrival stream over N servers, each
+//! one [`server::WorkerPool`] drawing service times through
+//! [`ServiceSpec::draw_service_ms`], and calibrates Stretch's engagement
+//! thresholds from the tails the queueing model produces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +48,7 @@ pub mod slack;
 pub mod sweep;
 
 pub use arrival::{ArrivalGenerator, ArrivalProcess};
-pub use server::{LatencySummary, ServerSim, SimParams};
+pub use server::{bisect_peak_rps, LatencySummary, ServerSim, SimParams, WorkerPool};
 pub use service::{ServiceSpec, TailMetric};
 pub use slack::{slack_curve, SlackPoint};
 pub use sweep::{latency_vs_load, LoadPoint};

@@ -126,27 +126,12 @@ impl ServerSim {
 
     /// The peak sustainable arrival rate (requests/second) at full
     /// performance: the highest rate at which the tail-latency target is
-    /// still met. Determined by bisection over simulation runs, mirroring
-    /// how the paper establishes each service's peak load empirically.
+    /// still met. Determined by bisection over simulation runs
+    /// ([`bisect_peak_rps`]), mirroring how the paper establishes each
+    /// service's peak load empirically; `0.0` if the target is hopeless.
     pub fn find_peak_load_rps(&self, params: SimParams) -> f64 {
-        // Upper bound: the no-queueing throughput of all workers.
-        let mean_service_ms = self.spec.mean_service_ms(params.performance_fraction);
-        let capacity_rps = self.spec.workers as f64 * 1000.0 / mean_service_ms;
-        let mut lo = capacity_rps * 0.05;
-        let mut hi = capacity_rps;
-        // If even 5% of capacity violates QoS the configuration is hopeless.
-        if !self.meets_qos(lo, params) {
-            return 0.0;
-        }
-        for _ in 0..12 {
-            let mid = 0.5 * (lo + hi);
-            if self.meets_qos(mid, params) {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let capacity_rps = self.spec.capacity_rps(params.performance_fraction);
+        bisect_peak_rps(capacity_rps, |rate| self.meets_qos(rate, params)).unwrap_or(0.0)
     }
 
     /// Whether the QoS target is met at the given arrival rate.
@@ -161,36 +146,19 @@ impl ServerSim {
         assert!(rate_rps > 0.0, "arrival rate must be positive");
         let mut rng = SimRng::new(params.seed);
         let arrival_rng = rng.fork(1);
-        let service_rng = rng.fork(2);
+        let mut service_rng = rng.fork(2);
         let mut arrivals = ArrivalGenerator::new(self.arrivals.with_rate(rate_rps), arrival_rng);
         // Only the CPU-bound portion of the service time stretches when the
         // core delivers less single-thread performance.
         let slowdown = self.spec.slowdown(params.performance_fraction);
-        let mut service = ServiceTimes {
-            rng: service_rng,
-            median_ms: self.spec.service_median_ms * slowdown,
-            sigma: self.spec.service_sigma,
-        };
-
-        // Worker availability times (ms). A request starts on the earliest
-        // available worker, no earlier than its arrival.
-        let mut workers = vec![0.0f64; self.spec.workers];
+        let mut pool = WorkerPool::new(self.spec.workers);
         let mut sojourn = Percentiles::new();
         let total = params.warmup_requests + params.requests;
         for i in 0..total {
             let arrival = arrivals.next_arrival_ms();
-            // Earliest-available worker (FCFS with greedy assignment).
-            let (widx, &avail) = workers
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN worker times"))
-                .expect("at least one worker");
-            let start = arrival.max(avail);
-            let service_time = service.draw();
-            let finish = start + service_time;
-            workers[widx] = finish;
+            let done = pool.admit(arrival, self.spec.draw_service_ms(slowdown, &mut service_rng));
             if i >= params.warmup_requests {
-                sojourn.record(finish - arrival);
+                sojourn.record(done - arrival);
             }
         }
 
@@ -215,17 +183,79 @@ impl ServerSim {
     }
 }
 
-#[derive(Debug, Clone)]
-struct ServiceTimes {
-    rng: SimRng,
-    median_ms: f64,
-    sigma: f64,
+/// A FCFS pool of identical workers: the queueing kernel of one server,
+/// shared by [`ServerSim`] and every server of the `cluster_sim` fleet.
+///
+/// The pool holds each worker's availability time (ms) and a watermark,
+/// the latest of them. It draws no random numbers: callers draw each
+/// request's service time from their own stream
+/// ([`ServiceSpec::draw_service_ms`]) and hand it to [`WorkerPool::admit`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct WorkerPool {
+    avail: Vec<f64>,
+    watermark: f64,
 }
 
-impl ServiceTimes {
-    fn draw(&mut self) -> f64 {
-        self.rng.log_normal(self.median_ms, self.sigma)
+impl WorkerPool {
+    /// An idle pool of `workers` workers, all available from time 0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers == 0`.
+    pub fn new(workers: usize) -> WorkerPool {
+        assert!(workers > 0, "a worker pool needs at least one worker");
+        WorkerPool { avail: vec![0.0; workers], watermark: 0.0 }
     }
+
+    /// Admits a request arriving at `arrival_ms` that needs `service_ms` of
+    /// work and returns its completion time. It starts on the
+    /// earliest-available worker (the first one on ties), no earlier than
+    /// its arrival. Arrivals must come in non-decreasing time order.
+    pub fn admit(&mut self, arrival_ms: f64, service_ms: f64) -> f64 {
+        let (idx, avail) = self
+            .avail
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN worker times"))
+            .expect("at least one worker");
+        let done = arrival_ms.max(avail) + service_ms;
+        self.avail[idx] = done;
+        self.watermark = self.watermark.max(done);
+        done
+    }
+
+    /// Total queued work (ms) still ahead of `now_ms`: the sum over workers
+    /// of `max(0, avail - now)`. A pool whose watermark is not after `now`
+    /// is idle and answers `0.0` in O(1) without the scan, which keeps
+    /// balancer probes cheap on a mostly idle fleet.
+    pub fn backlog(&self, now_ms: f64) -> f64 {
+        if self.watermark <= now_ms {
+            return 0.0;
+        }
+        self.avail.iter().map(|&avail| (avail - now_ms).max(0.0)).sum()
+    }
+}
+
+/// The peak sustainable rate under `meets`, by bisection over
+/// `[capacity_rps × 0.05, capacity_rps]`: twelve halvings, keeping the
+/// highest rate that `meets` accepts. Returns `None` when even the lower
+/// end fails, so each caller picks its own fallback for a hopeless target.
+pub fn bisect_peak_rps(capacity_rps: f64, mut meets: impl FnMut(f64) -> bool) -> Option<f64> {
+    let mut lo = capacity_rps * 0.05;
+    let mut hi = capacity_rps;
+    if !meets(lo) {
+        return None;
+    }
+    for _ in 0..12 {
+        let mid = 0.5 * (lo + hi);
+        if meets(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    Some(lo)
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Latency-sensitive service specifications (Table I).
 
-use sim_model::{CanonicalKey, KeyEncoder};
+use sim_model::{CanonicalKey, KeyEncoder, SimRng};
 
 /// Which statistic of the latency distribution the QoS target constrains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -160,20 +160,30 @@ impl ServiceSpec {
         self.cpu_fraction / performance_fraction + (1.0 - self.cpu_fraction)
     }
 
-    /// Mean per-request service time (ms) at the given delivered
-    /// performance: the log-normal mean `median · exp(σ²/2)` scaled by
-    /// [`ServiceSpec::slowdown`]. This is the quantity capacity ceilings are
-    /// computed from (a server's no-queueing throughput is
-    /// `workers / mean`), shared by the single-server peak finder and the
-    /// fleet's.
+    /// The capacity ceiling (requests/second) of one server at the given
+    /// delivered performance: the no-queueing throughput of all its
+    /// workers, `workers / mean service time`, where the mean is the
+    /// log-normal `median · exp(σ²/2)` scaled by [`ServiceSpec::slowdown`].
+    /// The lone server's and the fleet's peak searches both bisect below it
+    /// ([`crate::bisect_peak_rps`]).
     ///
     /// # Panics
     ///
     /// Panics if `performance_fraction` is not in `(0, 1]`.
-    pub fn mean_service_ms(&self, performance_fraction: f64) -> f64 {
-        self.service_median_ms
+    pub fn capacity_rps(&self, performance_fraction: f64) -> f64 {
+        let mean_service_ms = self.service_median_ms
             * (self.service_sigma * self.service_sigma / 2.0).exp()
-            * self.slowdown(performance_fraction)
+            * self.slowdown(performance_fraction);
+        self.workers as f64 * 1000.0 / mean_service_ms
+    }
+
+    /// Draws one request's service time (ms) from `rng`: log-normal with
+    /// the service's sigma and its median stretched by `slowdown` (the
+    /// [`ServiceSpec::slowdown`] factor of the delivered performance). The
+    /// one place a service time is drawn, for the lone server and the fleet
+    /// alike; each caller owns its stream, so draw order is the caller's.
+    pub fn draw_service_ms(&self, slowdown: f64, rng: &mut SimRng) -> f64 {
+        rng.log_normal(self.service_median_ms * slowdown, self.service_sigma)
     }
 
     /// Validates the specification.
