@@ -57,6 +57,11 @@ pub struct BenchWork {
     pub sim_cycles: u64,
     /// Simulated requests completed (0 for cycle-level benchmarks).
     pub requests: u64,
+    /// Cycles the core simulated one at a time with `SmtCore::step`, the
+    /// rest being jumped over by the idle skip: a host-side work count,
+    /// exact on any machine. Only entries that own their core report it
+    /// (0 elsewhere); it never enters a simulation result or digest.
+    pub stepped_cycles: u64,
     /// An order-sensitive FNV fold over the run's result bits. Identical
     /// simulation results — and only identical results — produce identical
     /// fingerprints, so a perf-instrumented run can be checked bit-for-bit
@@ -103,6 +108,7 @@ fn bench_cpu_pair(b_mode: bool) -> BenchWork {
     BenchWork {
         sim_cycles: t0.cycles.max(t1.cycles),
         requests: 0,
+        stepped_cycles: 0,
         fingerprint: fingerprint([t0.uipc, t1.uipc]),
     }
 }
@@ -138,6 +144,7 @@ fn bench_cpu_pair_direct() -> BenchWork {
     BenchWork {
         sim_cycles: t0.cycles.max(t1.cycles),
         requests: 0,
+        stepped_cycles: smt.stepped_cycles(),
         fingerprint: fingerprint([t0.uipc, t1.uipc]),
     }
 }
@@ -165,6 +172,7 @@ fn bench_cpu_smt4() -> BenchWork {
     BenchWork {
         sim_cycles: threads.iter().map(|t| t.cycles).max().expect("four threads ran"),
         requests: 0,
+        stepped_cycles: 0,
         fingerprint: fingerprint(threads.iter().map(|t| t.uipc)),
     }
 }
@@ -174,7 +182,12 @@ fn bench_cpu_standalone() -> BenchWork {
         .length(SimLength::quick())
         .seed(42)
         .run_thread0();
-    BenchWork { sim_cycles: r.cycles, requests: 0, fingerprint: fingerprint([r.uipc]) }
+    BenchWork {
+        sim_cycles: r.cycles,
+        requests: 0,
+        stepped_cycles: 0,
+        fingerprint: fingerprint([r.uipc]),
+    }
 }
 
 fn bench_qos_latency_curve() -> BenchWork {
@@ -182,6 +195,7 @@ fn bench_qos_latency_curve() -> BenchWork {
     BenchWork {
         sim_cycles: 0,
         requests: curve.iter().map(|p| p.latency.requests as u64).sum(),
+        stepped_cycles: 0,
         fingerprint: fingerprint(curve.iter().map(|p| p.latency.p99_ms)),
     }
 }
@@ -191,6 +205,7 @@ fn bench_qos_slack_curve() -> BenchWork {
     BenchWork {
         sim_cycles: 0,
         requests: 0,
+        stepped_cycles: 0,
         fingerprint: fingerprint(curve.iter().map(|p| p.required_performance)),
     }
 }
@@ -204,6 +219,7 @@ fn bench_cluster_fleet_day() -> BenchWork {
     BenchWork {
         sim_cycles: 0,
         requests: report.requests as u64,
+        stepped_cycles: 0,
         fingerprint: fingerprint([report.gain(), report.p99_ms, report.hours_engaged]),
     }
 }
@@ -232,6 +248,7 @@ fn bench_cluster_fleet_10k() -> BenchWork {
     BenchWork {
         sim_cycles: 0,
         requests: report.requests as u64,
+        stepped_cycles: 0,
         fingerprint: fingerprint([
             report.gain(),
             report.p99_ms,
@@ -262,7 +279,7 @@ fn bench_cluster_fleet_scaling() -> BenchWork {
         requests += report.requests as u64;
         results.extend([report.gain(), report.p99_ms, report.hours_engaged]);
     }
-    BenchWork { sim_cycles: 0, requests, fingerprint: fingerprint(results) }
+    BenchWork { sim_cycles: 0, requests, stepped_cycles: 0, fingerprint: fingerprint(results) }
 }
 
 fn bench_figures_quick_matrix() -> BenchWork {
@@ -280,6 +297,7 @@ fn bench_figures_quick_matrix() -> BenchWork {
     BenchWork {
         sim_cycles: 0,
         requests: 0,
+        stepped_cycles: 0,
         fingerprint: fingerprint(rendered.as_bytes().iter().map(|&b| f64::from(b))),
     }
 }
@@ -503,7 +521,7 @@ pub fn measure(spec: &BenchSpec, opts: MeasureOptions) -> BenchMeasurement {
         let _ = (spec.run)();
     }
     let mut wall_ms = Vec::with_capacity(opts.runs);
-    let mut work = BenchWork { sim_cycles: 0, requests: 0, fingerprint: 0 };
+    let mut work = BenchWork { sim_cycles: 0, requests: 0, stepped_cycles: 0, fingerprint: 0 };
     for _ in 0..opts.runs {
         let start = Instant::now();
         work = (spec.run)();
@@ -806,7 +824,7 @@ mod tests {
         // A benchmark spec whose run cost is negligible: the median math is
         // what is under test, driven through the public measure() path.
         fn noop() -> BenchWork {
-            BenchWork { sim_cycles: 10, requests: 4, fingerprint: 7 }
+            BenchWork { sim_cycles: 10, requests: 4, stepped_cycles: 0, fingerprint: 7 }
         }
         let spec = BenchSpec { name: "test/noop", layer: "test", title: "noop", run: noop };
         let m = measure(&spec, MeasureOptions { runs: 3, warmup_runs: 0 });

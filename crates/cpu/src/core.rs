@@ -16,6 +16,13 @@
 //! from the per-thread fetch buffers subject to the ROB/LSQ partition limits,
 //! and fetches from the workload trace generators subject to I-cache misses,
 //! branch redirects and fetch-bandwidth limits.
+//!
+//! Each stage works in proportion to events rather than ROB occupancy: the
+//! issue stage walks only a per-thread queue of waiting instructions, the
+//! complete stage only the executing ones, and [`run_core`] jumps over
+//! cycles in which no stage can act (see `SmtCore::skip_idle`).
+//!
+//! [`run_core`]: crate::run_core
 
 use crate::branch::{BranchPredictor, BranchStats, Prediction};
 use crate::fetch::{FetchPolicy, FetchScheduler};
@@ -25,42 +32,9 @@ use sim_model::{
     BoxedTrace, CoreConfig, Cycle, MicroOp, OpKind, ThreadId, TraceGenerator, NUM_LOGICAL_REGS,
 };
 use sim_stats::Histogram;
-use std::collections::{HashSet, VecDeque}; // simlint: allow(nondet-collections, "IdSet below is membership-only")
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 pub use sim_model::trace::BoxedTrace as ThreadTrace;
-
-/// A deterministic multiply hasher for instruction ids.
-///
-/// The `incomplete` set is probed several times per ROB entry per cycle (the
-/// wake-up check in `issue` and the dependence capture in `dispatch`), which
-/// made the default SipHash state the single hottest allocation-free cost of
-/// the simulation loop. Ids are dense sequential counters, so one Fibonacci
-/// multiply spreads them perfectly well; only set membership is ever
-/// observed, so the hash function cannot affect simulation results.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// Set of in-flight instruction ids, keyed by the multiply hasher above.
-/// Never iterated — membership tests only — so hash order cannot reach any
-/// simulation result; the hot wakeup path needs the O(1) probe.
-type IdSet = HashSet<u64, BuildHasherDefault<IdHasher>>; // simlint: allow(nondet-collections, "membership-only probe set, never iterated")
 
 /// Status of an in-flight instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,51 +47,53 @@ enum EntryStatus {
     Completed,
 }
 
-/// Sentinel for an absent dependence slot. Instruction ids are dense
-/// sequential counters starting at zero, so `u64::MAX` can never collide
-/// with a real id.
+/// Sentinel for an absent dependence slot. Sequence numbers count up from
+/// zero per thread, so `u64::MAX` can never collide with a real one.
 const NO_DEP: u64 = u64::MAX;
 
-/// A reorder buffer in structure-of-arrays layout.
+/// A reorder buffer in structure-of-arrays layout, addressed by sequence.
 ///
-/// The issue stage scans only `status` + `deps` and the complete stage only
-/// `status` + `completion`; keeping each field in its own queue means those
-/// every-cycle scans walk dense homogeneous memory instead of striding over
-/// full entries (the `MicroOp` payload alone dominates the entry size and is
-/// only touched when an instruction actually issues or commits). All queues
-/// move in lock-step: entries enter at the back in dispatch order and leave
-/// from the front at commit, so index `i` addresses one instruction across
-/// every field.
+/// Every instruction a thread fetches takes the next value of that thread's
+/// sequence counter, and dispatch is in order, so the ROB always holds the
+/// contiguous range `head_seq..head_seq + len`: the entry of sequence `s`
+/// sits at position `s - head_seq`. A dependence on `s` therefore resolves
+/// with one lookup (see [`Rob::is_done`]). All queues move in lock-step:
+/// entries enter at the back in dispatch order and leave from the front at
+/// commit. The `MicroOp` payload, the bulk of an entry, sits in its own
+/// queue and is only touched when an instruction issues or commits.
 #[derive(Debug, Default)]
 struct Rob {
-    ids: VecDeque<u64>,
+    /// Sequence number of the front entry (of the next dispatched one when
+    /// the ROB is empty).
+    head_seq: u64,
     uops: VecDeque<MicroOp>,
     status: VecDeque<EntryStatus>,
     completion: VecDeque<Cycle>,
-    /// Producer ids per source operand, [`NO_DEP`] when absent.
-    deps: VecDeque<[u64; 2]>,
     mispredicted: VecDeque<bool>,
     in_lsq: VecDeque<bool>,
 }
 
 impl Rob {
     fn len(&self) -> usize {
-        self.ids.len()
+        self.uops.len()
     }
 
-    fn push_back(
-        &mut self,
-        id: u64,
-        uop: MicroOp,
-        deps: [u64; 2],
-        mispredicted: bool,
-        in_lsq: bool,
-    ) {
-        self.ids.push_back(id);
+    /// Position of the in-flight entry with sequence `seq`.
+    fn pos(&self, seq: u64) -> usize {
+        debug_assert!(seq >= self.head_seq && seq < self.head_seq + self.len() as u64);
+        (seq - self.head_seq) as usize
+    }
+
+    /// Whether the producer with sequence `seq` has its result: it has
+    /// either committed (left the ROB) or completed execution.
+    fn is_done(&self, seq: u64) -> bool {
+        seq < self.head_seq || self.status[self.pos(seq)] == EntryStatus::Completed
+    }
+
+    fn push_back(&mut self, uop: MicroOp, mispredicted: bool, in_lsq: bool) {
         self.uops.push_back(uop);
         self.status.push_back(EntryStatus::Dispatched);
         self.completion.push_back(0);
-        self.deps.push_back(deps);
         self.mispredicted.push_back(mispredicted);
         self.in_lsq.push_back(in_lsq);
     }
@@ -125,19 +101,37 @@ impl Rob {
     /// Pops the head entry, returning the fields commit needs.
     fn pop_front(&mut self) -> Option<(MicroOp, bool)> {
         let uop = self.uops.pop_front()?;
-        self.ids.pop_front();
+        self.head_seq += 1;
         self.status.pop_front();
         self.completion.pop_front();
-        self.deps.pop_front();
         self.mispredicted.pop_front();
         let in_lsq = self.in_lsq.pop_front().expect("rob queues move in lock-step");
         Some((uop, in_lsq))
     }
+
+    /// Squashes every entry, appending the micro-ops to `squashed` in age
+    /// order; the next dispatched entry takes sequence `next_seq`.
+    fn squash_into(&mut self, squashed: &mut Vec<MicroOp>, next_seq: u64) {
+        squashed.extend(self.uops.drain(..));
+        self.status.clear();
+        self.completion.clear();
+        self.mispredicted.clear();
+        self.in_lsq.clear();
+        self.head_seq = next_seq;
+    }
+}
+
+/// An issue-queue entry: a `Dispatched` instruction and the sequence
+/// numbers of its producers ([`NO_DEP`] when a slot has none).
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    seq: u64,
+    deps: [u64; 2],
 }
 
 #[derive(Debug, Clone)]
 struct FetchedOp {
-    id: u64,
+    seq: u64,
     uop: MicroOp,
     mispredicted: bool,
 }
@@ -164,30 +158,39 @@ pub struct ThreadStats {
 struct ThreadState {
     trace: Option<BoxedTrace>,
     rob: Rob,
+    /// The `Dispatched` ROB entries, in age order: the only entries the
+    /// issue stage walks.
+    issue_queue: Vec<IqEntry>,
+    /// Sequence numbers of the `Issued` ROB entries: the only entries the
+    /// complete stage walks.
+    executing: Vec<u64>,
     lsq_occupancy: usize,
     fetch_buffer: VecDeque<FetchedOp>,
+    /// Sequence number the next fetched micro-op takes.
+    next_seq: u64,
     /// Micro-ops squashed by a mode-change flush, awaiting re-fetch.
     replay: VecDeque<MicroOp>,
     /// One micro-op pulled from the trace but not yet accepted by fetch
     /// (bandwidth or stall limits); retried first on the next fetch cycle.
     pending_fetch: Option<MicroOp>,
+    /// Sequence number of the last dispatched writer of each register.
     last_writer: [Option<u64>; NUM_LOGICAL_REGS],
     fetch_stall_until: Cycle,
-    /// Id of an unresolved mispredicted branch blocking fetch, if any.
+    /// Sequence number of an unresolved mispredicted branch blocking fetch.
     waiting_branch: Option<u64>,
     /// Earliest completion cycle among this thread's `Issued` entries
     /// ([`Cycle::MAX`] when none are executing). The complete stage skips the
-    /// thread's ROB scan entirely before this watermark — a scan that early
-    /// would find nothing, so the skip is bit-exact. Maintained exactly: the
-    /// issue stage min-updates it and every real complete scan recomputes it.
+    /// thread before this watermark — a walk that early would find nothing,
+    /// so the skip is bit-exact. Maintained exactly: the issue stage
+    /// min-updates it and every real complete walk recomputes it.
     next_completion: Cycle,
-    /// True when the last issue scan found zero ready-to-issue entries and no
-    /// wake event has occurred since, so the scan can be skipped. Wake events
+    /// True when the last issue walk found zero ready entries and no wake
+    /// event has occurred since, so the walk can be skipped. Wake events
     /// (which clear the flag) are a dispatch into this thread, a completion
     /// of this thread's instruction (dependences are intra-thread), and a
-    /// pipeline flush. The flag is conservative: it is only set when a scan
-    /// actually came up empty, never when entries were merely budget- or
-    /// FU-starved.
+    /// pipeline flush. The flag is conservative: it is only set when a walk
+    /// actually came up empty, never when entries were merely budget-, FU-
+    /// or MSHR-starved.
     issue_idle: bool,
     stats: ThreadStats,
     mlp: Histogram,
@@ -198,8 +201,11 @@ impl ThreadState {
         ThreadState {
             trace: None,
             rob: Rob::default(),
+            issue_queue: Vec::new(),
+            executing: Vec::new(),
             lsq_occupancy: 0,
             fetch_buffer: VecDeque::new(),
+            next_seq: 0,
             replay: VecDeque::new(),
             pending_fetch: None,
             last_writer: [None; NUM_LOGICAL_REGS],
@@ -219,6 +225,22 @@ impl ThreadState {
     fn active(&self) -> bool {
         self.trace.is_some()
     }
+
+    /// Whether the fetch-buffer front cannot enter the ROB: the buffer is
+    /// empty, or the thread's ROB or (for a memory op) LSQ limit register is
+    /// reached, or the shared capacity is (`rob_full`, `lsq_full`).
+    fn dispatch_blocked(
+        &self,
+        rob_limit: usize,
+        lsq_limit: usize,
+        rob_full: bool,
+        lsq_full: bool,
+    ) -> bool {
+        let Some(front) = self.fetch_buffer.front() else { return true };
+        self.rob.len() >= rob_limit
+            || rob_full
+            || (front.uop.is_mem() && (self.lsq_occupancy >= lsq_limit || lsq_full))
+    }
 }
 
 /// The simulated SMT core.
@@ -230,23 +252,21 @@ pub struct SmtCore {
     scheduler: FetchScheduler,
     partition: PartitionPolicy,
     now: Cycle,
-    next_id: u64,
     threads: Vec<ThreadState>,
-    /// Ids of instructions that have not yet completed execution.
-    incomplete: IdSet,
     /// Round-robin commit preference (rotates each cycle).
     commit_preference: usize,
     total_cycles_run: u64,
-    /// Reusable scratch for `issue`'s ready-entry positions; allocating it
-    /// fresh every cycle dominated the issue stage's cost.
-    scratch_ready: Vec<usize>,
+    /// Calls to [`SmtCore::step`] since the core was built: host-side work,
+    /// never part of a simulation result.
+    stepped: u64,
     /// Reusable scratch for `fetch_thread`'s touched I-cache blocks.
     scratch_blocks: Vec<u64>,
     /// Reusable scratch for `flush_thread`'s squashed micro-ops.
     scratch_squashed: Vec<MicroOp>,
     /// Reusable scratch for `fetch`'s per-thread in-flight counts.
     scratch_in_flight: Vec<usize>,
-    /// Reusable scratch for `fetch`'s per-thread activity flags.
+    /// Reusable scratch for the per-thread activity flags of `fetch` and
+    /// `skip_idle`.
     scratch_active: Vec<bool>,
 }
 
@@ -377,12 +397,10 @@ impl SmtCoreBuilder {
             scheduler: FetchScheduler::new(),
             partition,
             now: 0,
-            next_id: 0,
             threads,
-            incomplete: IdSet::default(),
             commit_preference: 0,
             total_cycles_run: 0,
-            scratch_ready: Vec::new(),
+            stepped: 0,
             scratch_blocks: Vec::new(),
             scratch_squashed: Vec::new(),
             scratch_in_flight: Vec::new(),
@@ -448,6 +466,15 @@ impl SmtCore {
         self.total_cycles_run
     }
 
+    /// Cycles simulated one at a time by [`SmtCore::step`] since the core
+    /// was built; the rest of [`SmtCore::now`] was jumped over by
+    /// [`run_core`](crate::run_core)'s idle skip. Host-side work only: no
+    /// simulation result depends on it, and [`SmtCore::reset_stats`] leaves
+    /// it alone.
+    pub fn stepped_cycles(&self) -> u64 {
+        self.stepped
+    }
+
     /// Whether a thread has a workload attached.
     pub fn thread_active(&self, thread: ThreadId) -> bool {
         self.threads[thread.index()].active()
@@ -494,19 +521,10 @@ impl SmtCore {
         let mut squashed = std::mem::take(&mut self.scratch_squashed);
         squashed.clear();
         let t = &mut self.threads[thread.index()];
-        for id in t.rob.ids.drain(..) {
-            self.incomplete.remove(&id);
-        }
-        squashed.extend(t.rob.uops.drain(..));
-        t.rob.status.clear();
-        t.rob.completion.clear();
-        t.rob.deps.clear();
-        t.rob.mispredicted.clear();
-        t.rob.in_lsq.clear();
-        for f in t.fetch_buffer.drain(..) {
-            self.incomplete.remove(&f.id);
-            squashed.push(f.uop);
-        }
+        t.rob.squash_into(&mut squashed, t.next_seq);
+        squashed.extend(t.fetch_buffer.drain(..).map(|f| f.uop));
+        t.issue_queue.clear();
+        t.executing.clear();
         // Re-fetch the squashed instructions before pulling new ones from the
         // trace, so the committed instruction stream is unchanged.
         for uop in squashed.drain(..).rev() {
@@ -546,6 +564,7 @@ impl SmtCore {
     pub fn step(&mut self) {
         self.now += 1;
         self.total_cycles_run += 1;
+        self.stepped += 1;
         self.mem.tick(self.now);
         self.complete();
         self.commit();
@@ -571,6 +590,74 @@ impl SmtCore {
         self.now - start
     }
 
+    /// Jumps over up to `limit` cycles in which no pipeline stage can act,
+    /// returning how many were skipped (0 when the next cycle is live).
+    ///
+    /// The next cycle is dead when every active thread is
+    /// * issue-idle (its last issue walk found nothing ready; a thread whose
+    ///   ready load is MSHR-blocked is never idle, because every retry
+    ///   touches the caches, the prefetcher and the hierarchy counters) with
+    ///   no `Completed` ROB head to commit,
+    /// * dispatch-blocked or has an empty fetch buffer, and
+    /// * fetch-stalled, waiting on a mispredicted branch, or buffer-full.
+    ///
+    /// Nothing can change any of that until the earliest of the threads'
+    /// next completions, the relevant fetch-stall expiries and the
+    /// hierarchy's next event, so the skip ends just before that cycle. A
+    /// dead cycle touches only `now`, the cycle count, the commit rotation,
+    /// the fetch scheduler's counters and one MLP-census sample per active
+    /// thread; those are applied here in bulk, so `skip_idle` followed by
+    /// [`SmtCore::step`] is bit-identical to stepping every cycle.
+    pub(crate) fn skip_idle(&mut self, limit: u64) -> u64 {
+        let now = self.now;
+        let enforce_total = self.partition.enforce_total_capacity();
+        let rob_full = enforce_total && self.total_rob_occupancy() >= self.cfg.rob_capacity;
+        let lsq_full = enforce_total && self.total_lsq_occupancy() >= self.cfg.lsq_capacity;
+        let mut until = self.mem.next_event();
+        for (idx, t) in self.threads.iter().enumerate() {
+            if !t.active() {
+                continue;
+            }
+            if !t.issue_idle || t.rob.status.front() == Some(&EntryStatus::Completed) {
+                return 0;
+            }
+            let thread = ThreadId::from_index(idx);
+            if !t.dispatch_blocked(
+                self.rob_limit(thread),
+                self.lsq_limit(thread),
+                rob_full,
+                lsq_full,
+            ) {
+                return 0;
+            }
+            if t.waiting_branch.is_none() && t.fetch_buffer.len() < self.cfg.fetch_buffer_entries {
+                until = until.min(t.fetch_stall_until);
+            }
+            until = until.min(t.next_completion);
+        }
+        let skipped = until.saturating_sub(now + 1).min(limit);
+        if skipped == 0 {
+            return 0;
+        }
+        self.now += skipped;
+        self.total_cycles_run += skipped;
+        let threads = self.threads.len();
+        self.commit_preference =
+            ((self.commit_preference as u64 + skipped) % threads as u64) as usize;
+        let mut active = std::mem::take(&mut self.scratch_active);
+        active.clear();
+        active.extend(self.threads.iter().map(ThreadState::active));
+        self.scheduler.skip(self.fetch_policy, &active, skipped);
+        self.scratch_active = active;
+        for (idx, t) in self.threads.iter_mut().enumerate() {
+            if t.active() {
+                let outstanding = self.mem.outstanding_misses(ThreadId::from_index(idx));
+                t.mlp.record_weighted(outstanding, skipped);
+            }
+        }
+        skipped
+    }
+
     // ------------------------------------------------------------------
     // Pipeline stages
     // ------------------------------------------------------------------
@@ -578,48 +665,41 @@ impl SmtCore {
     fn complete(&mut self) {
         let now = self.now;
         let penalty = self.cfg.pipeline_flush_cycles;
-        for idx in 0..self.threads.len() {
+        for t in &mut self.threads {
+            // Quiescence skip: no executing instruction of this thread can
+            // finish before the watermark, so a walk would find nothing.
+            if now < t.next_completion {
+                continue;
+            }
+            let mut next = Cycle::MAX;
+            let mut completed_any = false;
+            // The youngest mispredicted branch completing this cycle.
             let mut resolved_branch: Option<u64> = None;
-            let mut flush = false;
-            {
-                let t = &mut self.threads[idx];
-                // Quiescence skip: no executing instruction of this thread can
-                // finish before the watermark, so a scan would find nothing.
-                if now < t.next_completion {
-                    continue;
+            let rob = &mut t.rob;
+            t.executing.retain(|&seq| {
+                let pos = rob.pos(seq);
+                let c = rob.completion[pos];
+                if c > now {
+                    next = next.min(c);
+                    return true;
                 }
-                let mut next = Cycle::MAX;
-                let mut completed_any = false;
-                for i in 0..t.rob.len() {
-                    if t.rob.status[i] != EntryStatus::Issued {
-                        continue;
-                    }
-                    let c = t.rob.completion[i];
-                    if c <= now {
-                        t.rob.status[i] = EntryStatus::Completed;
-                        self.incomplete.remove(&t.rob.ids[i]);
-                        completed_any = true;
-                        if t.rob.mispredicted[i] {
-                            flush = true;
-                            resolved_branch = Some(t.rob.ids[i]);
-                        }
-                    } else {
-                        next = next.min(c);
-                    }
+                rob.status[pos] = EntryStatus::Completed;
+                completed_any = true;
+                if rob.mispredicted[pos] {
+                    resolved_branch = resolved_branch.max(Some(seq));
                 }
-                t.next_completion = next;
-                if completed_any {
-                    // A completion can wake same-thread dependents.
-                    t.issue_idle = false;
-                }
-                if flush {
-                    t.stats.branch_flushes += 1;
-                    t.fetch_stall_until = t.fetch_stall_until.max(now + penalty);
-                    if let (Some(bid), Some(wid)) = (resolved_branch, t.waiting_branch) {
-                        if bid == wid {
-                            t.waiting_branch = None;
-                        }
-                    }
+                false
+            });
+            t.next_completion = next;
+            if completed_any {
+                // A completion can wake same-thread dependents.
+                t.issue_idle = false;
+            }
+            if let Some(branch) = resolved_branch {
+                t.stats.branch_flushes += 1;
+                t.fetch_stall_until = t.fetch_stall_until.max(now + penalty);
+                if t.waiting_branch == Some(branch) {
+                    t.waiting_branch = None;
                 }
             }
         }
@@ -641,8 +721,8 @@ impl SmtCore {
                 let (uop, in_lsq) = self.threads[idx].rob.pop_front().expect("front checked");
                 let thread = ThreadId::from_index(idx);
                 if in_lsq {
-                    self.threads[idx].lsq_occupancy =
-                        self.threads[idx].lsq_occupancy.saturating_sub(1);
+                    debug_assert!(self.threads[idx].lsq_occupancy > 0, "LSQ usage underflow");
+                    self.threads[idx].lsq_occupancy -= 1;
                 }
                 match uop.kind {
                     OpKind::Store => {
@@ -676,87 +756,76 @@ impl SmtCore {
                 break;
             }
             let thread = ThreadId::from_index(idx);
-            // Quiescence skip: the last scan found nothing ready and no wake
+            let t = &mut self.threads[idx];
+            // Quiescence skip: the last walk found nothing ready and no wake
             // event (dispatch, same-thread completion, flush) has happened
-            // since, so this scan would find nothing too.
-            if self.threads[idx].issue_idle {
+            // since, so this walk would find nothing too.
+            if t.issue_idle {
                 continue;
             }
             let mut mshr_blocked = false;
-            // Collect the positions of ready entries first to keep the borrow
-            // checker happy, then issue them in age order. The position list
-            // is a reusable scratch buffer — one was allocated per thread per
-            // cycle before. The scan walks only the status and deps queues.
-            let mut ready_positions = std::mem::take(&mut self.scratch_ready);
-            ready_positions.clear();
-            {
-                let t = &self.threads[idx];
-                ready_positions.extend(
-                    t.rob
-                        .status
-                        .iter()
-                        .zip(t.rob.deps.iter())
-                        .enumerate()
-                        .filter(|(_, (&s, _))| s == EntryStatus::Dispatched)
-                        .filter(|(_, (_, deps))| {
-                            deps.iter().all(|&dep| dep == NO_DEP || !self.incomplete.contains(&dep))
-                        })
-                        .map(|(i, _)| i),
-                );
-            }
-            if ready_positions.is_empty() {
-                // Only an empty scan arms the skip; budget- or FU-starved
-                // leftovers must be retried next cycle.
-                self.threads[idx].issue_idle = true;
-                self.scratch_ready = ready_positions;
-                continue;
-            }
-
-            for &pos in &ready_positions {
-                if issue_budget == 0 {
-                    break;
-                }
-                let kind = self.threads[idx].rob.uops[pos].kind;
-                let fu = match kind {
-                    OpKind::IntAlu | OpKind::Branch => &mut fu_int,
-                    OpKind::IntMul => &mut fu_mul,
-                    OpKind::Fp => &mut fu_fp,
-                    OpKind::Load | OpKind::Store => &mut fu_lsu,
-                };
-                if *fu == 0 {
-                    continue;
-                }
-                if kind == OpKind::Load && mshr_blocked {
-                    continue;
-                }
-                let completion = match kind {
-                    OpKind::Load => {
-                        let (addr, pc) = {
-                            let uop = &self.threads[idx].rob.uops[pos];
-                            (uop.mem.expect("load carries an address").addr, uop.pc)
-                        };
-                        match self.mem.load(thread, addr, pc, now) {
-                            LoadResult::Hit { latency } => now + latency,
-                            LoadResult::Miss { completion } => completion,
-                            LoadResult::NoMshr => {
-                                // Retry next cycle; stop trying further loads
-                                // for this thread to preserve ordering.
-                                mshr_blocked = true;
-                                continue;
+            let mut found_ready = false;
+            // Walk the issue queue in age order, compacting it in place:
+            // issued entries leave, the rest keep their order.
+            let mut kept = 0;
+            let mut next = 0;
+            while next < t.issue_queue.len() && issue_budget > 0 {
+                let entry = t.issue_queue[next];
+                next += 1;
+                if entry.deps.iter().all(|&dep| dep == NO_DEP || t.rob.is_done(dep)) {
+                    found_ready = true;
+                    let pos = t.rob.pos(entry.seq);
+                    let uop = &t.rob.uops[pos];
+                    let fu = match uop.kind {
+                        OpKind::IntAlu | OpKind::Branch => &mut fu_int,
+                        OpKind::IntMul => &mut fu_mul,
+                        OpKind::Fp => &mut fu_fp,
+                        OpKind::Load | OpKind::Store => &mut fu_lsu,
+                    };
+                    let completion = if *fu == 0 || (uop.kind == OpKind::Load && mshr_blocked) {
+                        None
+                    } else {
+                        match uop.kind {
+                            OpKind::Load => {
+                                let addr = uop.mem.expect("load carries an address").addr;
+                                match self.mem.load(thread, addr, uop.pc, now) {
+                                    LoadResult::Hit { latency } => Some(now + latency),
+                                    LoadResult::Miss { completion } => Some(completion),
+                                    LoadResult::NoMshr => {
+                                        // Retry next cycle; stop trying further
+                                        // loads for this thread to preserve
+                                        // ordering.
+                                        mshr_blocked = true;
+                                        None
+                                    }
+                                }
                             }
+                            OpKind::Store => Some(now + 1),
+                            other => Some(now + other.exec_latency()),
                         }
+                    };
+                    if let Some(completion) = completion {
+                        t.rob.status[pos] = EntryStatus::Issued;
+                        t.rob.completion[pos] = completion;
+                        t.executing.push(entry.seq);
+                        t.next_completion = t.next_completion.min(completion);
+                        *fu -= 1;
+                        issue_budget -= 1;
+                        continue;
                     }
-                    OpKind::Store => now + 1,
-                    other => now + other.exec_latency(),
-                };
-                let t = &mut self.threads[idx];
-                t.rob.status[pos] = EntryStatus::Issued;
-                t.rob.completion[pos] = completion;
-                t.next_completion = t.next_completion.min(completion);
-                *fu -= 1;
-                issue_budget -= 1;
+                }
+                t.issue_queue[kept] = entry;
+                kept += 1;
             }
-            self.scratch_ready = ready_positions;
+            // Entries past the budget cut-off keep their places.
+            let len = t.issue_queue.len();
+            t.issue_queue.copy_within(next..len, kept);
+            t.issue_queue.truncate(kept + len - next);
+            if !found_ready {
+                // Only an empty walk arms the skip; budget-, FU- or
+                // MSHR-starved leftovers must be retried next cycle.
+                t.issue_idle = true;
+            }
         }
     }
 
@@ -776,6 +845,7 @@ impl SmtCore {
         // incrementally instead of re-summing every thread per instruction.
         let mut total_rob = self.total_rob_occupancy();
         let mut total_lsq = self.total_lsq_occupancy();
+        let enforce_total = self.partition.enforce_total_capacity();
         for offset in 0..threads {
             let idx = (first + offset) % threads;
             let thread = ThreadId::from_index(idx);
@@ -783,46 +853,37 @@ impl SmtCore {
             // limits are loop invariants; only the occupancies move.
             let rob_limit = self.rob_limit(thread);
             let lsq_limit = self.lsq_limit(thread);
-            let enforce_total = self.partition.enforce_total_capacity();
             while budget > 0 {
+                let rob_full = enforce_total && total_rob >= self.cfg.rob_capacity;
+                let lsq_full = enforce_total && total_lsq >= self.cfg.lsq_capacity;
                 let t = &mut self.threads[idx];
-                let Some(front) = t.fetch_buffer.front() else { break };
-                if t.rob.len() >= rob_limit {
+                if t.dispatch_blocked(rob_limit, lsq_limit, rob_full, lsq_full) {
                     break;
-                }
-                if enforce_total && total_rob >= self.cfg.rob_capacity {
-                    break;
-                }
-                let is_mem = front.uop.is_mem();
-                if is_mem {
-                    if t.lsq_occupancy >= lsq_limit {
-                        break;
-                    }
-                    if enforce_total && total_lsq >= self.cfg.lsq_capacity {
-                        break;
-                    }
                 }
                 let f = t.fetch_buffer.pop_front().expect("front checked");
+                debug_assert_eq!(f.seq, t.rob.head_seq + t.rob.len() as u64);
                 let mut deps = [NO_DEP, NO_DEP];
                 for (slot, src) in f.uop.srcs.iter().enumerate() {
                     if let Some(reg) = src {
-                        if let Some(id) =
-                            t.last_writer[*reg as usize].filter(|id| self.incomplete.contains(id))
+                        if let Some(seq) =
+                            t.last_writer[*reg as usize].filter(|&seq| !t.rob.is_done(seq))
                         {
-                            deps[slot] = id;
+                            deps[slot] = seq;
                         }
                     }
                 }
                 if let Some(dst) = f.uop.dst {
-                    t.last_writer[dst as usize] = Some(f.id);
+                    t.last_writer[dst as usize] = Some(f.seq);
                 }
+                let is_mem = f.uop.is_mem();
                 if is_mem {
                     t.lsq_occupancy += 1;
                     total_lsq += 1;
                 }
-                t.rob.push_back(f.id, f.uop, deps, f.mispredicted, is_mem);
+                t.rob.push_back(f.uop, f.mispredicted, is_mem);
+                t.issue_queue.push(IqEntry { seq: f.seq, deps });
                 total_rob += 1;
-                // A fresh entry may be immediately ready: wake the issue scan.
+                // A fresh entry may be immediately ready: wake the issue walk.
                 t.issue_idle = false;
                 budget -= 1;
             }
@@ -935,16 +996,16 @@ impl SmtCore {
                 );
             }
 
-            let id = self.next_id;
-            self.next_id += 1;
-            self.incomplete.insert(id);
-            self.threads[idx].fetch_buffer.push_back(FetchedOp { id, uop, mispredicted });
+            let t = &mut self.threads[idx];
+            let seq = t.next_seq;
+            t.next_seq += 1;
+            t.fetch_buffer.push_back(FetchedOp { seq, uop, mispredicted });
             fetched += 1;
 
             if mispredicted {
                 // Fetch stalls until the branch resolves (plus the redirect
                 // penalty, applied at resolution time in `complete`).
-                self.threads[idx].waiting_branch = Some(id);
+                t.waiting_branch = Some(seq);
                 break;
             }
         }
@@ -961,6 +1022,9 @@ impl SmtCore {
         }
     }
 }
+
+#[cfg(test)]
+mod differential;
 
 #[cfg(test)]
 mod tests {
@@ -1062,6 +1126,36 @@ mod tests {
 
     fn single_thread_core(trace: BoxedTrace) -> SmtCore {
         SmtCoreBuilder::new(CoreConfig::default()).thread(ThreadId::T0, trace).build()
+    }
+
+    /// Runs `trace` alone through `run_core` for `instructions` committed
+    /// instructions; returns the fraction of cycles simulated by `step`.
+    fn stepped_share(trace: BoxedTrace, instructions: u64) -> f64 {
+        let mut core = single_thread_core(trace);
+        let length = crate::SimLength {
+            warmup_instructions: 0,
+            measured_instructions: instructions,
+            max_cycles: 2_000_000,
+        };
+        crate::run_core(&mut core, vec![None], length);
+        core.stepped_cycles() as f64 / core.now() as f64
+    }
+
+    #[test]
+    fn idle_skip_jumps_over_a_dependent_miss_chain() {
+        // Each load waits for its predecessor's miss: almost every cycle
+        // is dead, so almost none should be stepped.
+        let share = stepped_share(PointerChase::boxed(1), 2_000);
+        assert!(share < 0.05, "pointer chase stepped {:.1}% of its cycles", share * 100.0);
+    }
+
+    #[test]
+    fn idle_skip_keeps_mshr_blocked_loads_live() {
+        // Independent misses fill the MSHRs; the ready loads behind them
+        // retry (and touch the hierarchy) every cycle, so those cycles must
+        // all be stepped.
+        let share = stepped_share(StreamingLoads::boxed(2), 5_000);
+        assert!(share > 0.90, "streaming loads stepped only {:.1}% of its cycles", share * 100.0);
     }
 
     #[test]

@@ -127,24 +127,44 @@ impl FetchScheduler {
             FetchPolicy::Throttled { throttled, ratio } => {
                 // Out of every (ratio + 1) cycles, exactly one goes to the
                 // throttled thread; the rest rotate through the non-throttled
-                // group.
+                // group. The pick is counted out of the active slots, so
+                // this every-cycle path never allocates.
                 let slot = self.cycle % (u64::from(ratio) + 1);
-                if slot == 0 && active[throttled.index()] {
+                let in_batch = |i: &usize| *i != throttled.index() && active[*i];
+                let batch = (0..threads).filter(in_batch).count();
+                if (slot == 0 && active[throttled.index()]) || batch == 0 {
                     throttled.index()
                 } else {
-                    let batch: Vec<usize> =
-                        (0..threads).filter(|&i| i != throttled.index() && active[i]).collect();
-                    if batch.is_empty() {
-                        throttled.index()
-                    } else {
-                        let pick = batch[(self.batch_rotation % batch.len() as u64) as usize];
-                        self.batch_rotation += 1;
-                        pick
-                    }
+                    let nth = (self.batch_rotation % batch as u64) as usize;
+                    self.batch_rotation += 1;
+                    (0..threads).filter(in_batch).nth(nth).expect("nth < batch size")
                 }
             }
         };
         Some(ThreadId::from_index(preferred))
+    }
+
+    /// Advances the schedule exactly as `cycles` calls to
+    /// [`FetchScheduler::select`] with the same `active` set would, in
+    /// constant time. The core calls this when it jumps over cycles in which
+    /// no thread can fetch, so the selections themselves are not needed;
+    /// only their effect on the cycle counter and the throttled batch
+    /// rotation is.
+    pub(crate) fn skip(&mut self, policy: FetchPolicy, active: &[bool], cycles: u64) {
+        let start = self.cycle;
+        self.cycle += cycles;
+        let FetchPolicy::Throttled { throttled, ratio } = policy else { return };
+        // Below two active threads `select` returns early, and with two or
+        // more the non-throttled group is never empty.
+        if active.iter().filter(|&&a| a).count() < 2 {
+            return;
+        }
+        // Every skipped cycle advances the rotation except those whose slot
+        // (cycle mod ratio + 1) is 0 while the throttled thread is active.
+        let period = u64::from(ratio) + 1;
+        let throttled_slots =
+            if active[throttled.index()] { self.cycle / period - start / period } else { 0 };
+        self.batch_rotation += cycles - throttled_slots;
     }
 }
 
@@ -238,6 +258,124 @@ mod tests {
         assert_eq!(counts[1] + counts[2] + counts[3], 200);
         for &c in &counts[1..] {
             assert!((66..=67).contains(&c), "batch share skewed: {counts:?}");
+        }
+    }
+
+    /// `select` as first written: the non-throttled group is collected into
+    /// a fresh `Vec` on every call. The reference for the rewrite.
+    fn collected_select(
+        s: &mut FetchScheduler,
+        policy: FetchPolicy,
+        in_flight: &[usize],
+        active: &[bool],
+    ) -> Option<ThreadId> {
+        let threads = active.len();
+        s.cycle += 1;
+        let active_count = active.iter().filter(|&&a| a).count();
+        if active_count == 0 {
+            return None;
+        }
+        if active_count == 1 {
+            return Some(ThreadId::from_index(active.iter().position(|&a| a).unwrap()));
+        }
+        let preferred = match policy {
+            FetchPolicy::ICount => {
+                let mut best: Option<(usize, usize)> = None;
+                for (i, &count) in in_flight.iter().enumerate() {
+                    if active[i] && best.is_none_or(|(_, b)| count < b) {
+                        best = Some((i, count));
+                    }
+                }
+                best.unwrap().0
+            }
+            FetchPolicy::RoundRobin => {
+                let start = (s.cycle % threads as u64) as usize;
+                (0..threads).map(|o| (start + o) % threads).find(|&i| active[i]).unwrap()
+            }
+            FetchPolicy::Throttled { throttled, ratio } => {
+                let slot = s.cycle % (u64::from(ratio) + 1);
+                if slot == 0 && active[throttled.index()] {
+                    throttled.index()
+                } else {
+                    let batch: Vec<usize> =
+                        (0..threads).filter(|&i| i != throttled.index() && active[i]).collect();
+                    if batch.is_empty() {
+                        throttled.index()
+                    } else {
+                        let pick = batch[(s.batch_rotation % batch.len() as u64) as usize];
+                        s.batch_rotation += 1;
+                        pick
+                    }
+                }
+            }
+        };
+        Some(ThreadId::from_index(preferred))
+    }
+
+    /// Every policy on every SMT width from 1 to 4.
+    fn all_policies() -> Vec<(usize, FetchPolicy)> {
+        let mut out = Vec::new();
+        for width in 1..=4 {
+            out.push((width, FetchPolicy::ICount));
+            out.push((width, FetchPolicy::RoundRobin));
+            for t in ThreadId::first_n(width) {
+                for ratio in 1..=4 {
+                    out.push((width, FetchPolicy::throttled(t, ratio)));
+                }
+            }
+        }
+        out
+    }
+
+    /// A random activity mask and in-flight count vector for `width` threads.
+    fn random_inputs(rng: &mut sim_model::SimRng, width: usize) -> (Vec<usize>, Vec<bool>) {
+        let in_flight = (0..width).map(|_| rng.below(64) as usize).collect();
+        let active = (0..width).map(|_| !rng.chance(0.2)).collect();
+        (in_flight, active)
+    }
+
+    #[test]
+    fn selection_matches_the_collecting_reference() {
+        let mut rng = sim_model::SimRng::new(17);
+        for (width, policy) in all_policies() {
+            let mut fast = FetchScheduler::new();
+            let mut reference = FetchScheduler::new();
+            for call in 0..1000 {
+                let (in_flight, active) = random_inputs(&mut rng, width);
+                assert_eq!(
+                    fast.select(policy, &in_flight, &active),
+                    collected_select(&mut reference, policy, &in_flight, &active),
+                    "{policy:?} on SMT{width}, call {call}, active {active:?}"
+                );
+                assert_eq!(fast.batch_rotation, reference.batch_rotation);
+            }
+        }
+    }
+
+    #[test]
+    fn skip_advances_like_repeated_selection() {
+        let mut rng = sim_model::SimRng::new(23);
+        for (width, policy) in all_policies() {
+            let mut skipped = FetchScheduler::new();
+            let mut selected = FetchScheduler::new();
+            for _ in 0..50 {
+                let (in_flight, active) = random_inputs(&mut rng, width);
+                let cycles = rng.below(40);
+                skipped.skip(policy, &active, cycles);
+                for _ in 0..cycles {
+                    selected.select(policy, &in_flight, &active);
+                }
+                assert_eq!(skipped.cycle, selected.cycle);
+                assert_eq!(
+                    skipped.batch_rotation, selected.batch_rotation,
+                    "{policy:?} {active:?}"
+                );
+                // One live call keeps the two in step for the next skip.
+                assert_eq!(
+                    skipped.select(policy, &in_flight, &active),
+                    selected.select(policy, &in_flight, &active)
+                );
+            }
         }
     }
 

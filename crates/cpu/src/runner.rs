@@ -222,6 +222,9 @@ pub fn run_core(
 
     let mut cycles = 0u64;
     loop {
+        // Skipped cycles commit nothing, so no window can open or close
+        // inside a skip; stop one short of the cap so `step` reaches it.
+        cycles += core.skip_idle(length.max_cycles.saturating_sub(cycles + 1));
         core.step();
         cycles += 1;
         let mut all_done = true;

@@ -56,7 +56,11 @@ pub struct SetAssocCache {
     sets: usize,
     ways: usize,
     line_shift: u32,
-    /// `tags[set * ways + way]`, `None` when invalid.
+    /// `tags[set * ways + way]`, `None` when invalid. Both arrays stay
+    /// empty until the first access or fill (see
+    /// [`SetAssocCache::allocate`]), so a cache that is never touched — the
+    /// LLC partition of an idle hardware thread — costs no memory, and
+    /// building a core does not zero megabytes of LLC state up front.
     tags: Vec<Option<u64>>,
     /// LRU stamps, larger = more recently used.
     stamps: Vec<u64>,
@@ -78,8 +82,8 @@ impl SetAssocCache {
             sets,
             ways: cfg.ways,
             line_shift,
-            tags: vec![None; sets * cfg.ways],
-            stamps: vec![0; sets * cfg.ways],
+            tags: Vec::new(),
+            stamps: Vec::new(),
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -93,10 +97,19 @@ impl SetAssocCache {
             sets,
             ways,
             line_shift: 6,
-            tags: vec![None; sets * ways],
-            stamps: vec![0; sets * ways],
+            tags: Vec::new(),
+            stamps: Vec::new(),
             clock: 0,
             stats: CacheStats::default(),
+        }
+    }
+
+    /// Allocates the (all-invalid) tag and LRU arrays on first use.
+    #[inline]
+    fn allocate(&mut self) {
+        if self.tags.is_empty() {
+            self.tags = vec![None; self.sets * self.ways];
+            self.stamps = vec![0; self.sets * self.ways];
         }
     }
 
@@ -114,6 +127,7 @@ impl SetAssocCache {
 
     /// Accesses a pre-computed block address.
     pub fn access_block(&mut self, block: u64) -> bool {
+        self.allocate();
         self.clock += 1;
         let set = self.set_index(block);
         let base = set * self.ways;
@@ -136,6 +150,7 @@ impl SetAssocCache {
     /// only lands when the corresponding miss completes (see the MSHR file).
     pub fn lookup(&mut self, addr: u64) -> bool {
         let block = addr >> self.line_shift;
+        self.allocate();
         self.clock += 1;
         let set = self.set_index(block);
         let base = set * self.ways;
@@ -152,6 +167,9 @@ impl SetAssocCache {
 
     /// Probes for a block without updating LRU state or statistics.
     pub fn probe_block(&self, block: u64) -> bool {
+        if self.tags.is_empty() {
+            return false;
+        }
         let set = self.set_index(block);
         let base = set * self.ways;
         (0..self.ways).any(|way| self.tags[base + way] == Some(block))
@@ -159,6 +177,7 @@ impl SetAssocCache {
 
     /// Installs a block (e.g. a prefetch fill) without counting an access.
     pub fn fill_block(&mut self, block: u64) {
+        self.allocate();
         self.clock += 1;
         let set = self.set_index(block);
         let base = set * self.ways;
@@ -363,6 +382,18 @@ mod tests {
         for &b in &blocks {
             assert!(c.access_block(b), "block {b} should hit on the second pass");
         }
+    }
+
+    #[test]
+    fn untouched_cache_holds_nothing_and_allocates_on_first_use() {
+        let mut c = SetAssocCache::with_geometry(4, 2);
+        assert!(!c.probe_block(7));
+        assert!(c.tags.is_empty(), "probing must not allocate");
+        assert!(!c.lookup(7 << 6));
+        assert!(!c.probe_block(7), "a lookup miss does not fill");
+        c.fill_block(7);
+        assert!(c.probe_block(7));
+        assert_eq!(c.tags.len(), 8);
     }
 
     #[test]

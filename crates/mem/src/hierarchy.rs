@@ -309,6 +309,13 @@ impl MemoryHierarchy {
         self.scratch_landed = landed;
     }
 
+    /// Earliest cycle at which [`MemoryHierarchy::tick`] can change anything
+    /// ([`Cycle::MAX`] when nothing is in flight). Conservative: never later
+    /// than the next fill, so every tick before it is a no-op.
+    pub fn next_event(&self) -> Cycle {
+        self.next_event
+    }
+
     /// Number of outstanding demand misses for `thread` (instantaneous MLP).
     pub fn outstanding_misses(&self, thread: ThreadId) -> usize {
         self.mshrs.outstanding(thread)

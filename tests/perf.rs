@@ -48,6 +48,16 @@ fn dispatch_overhead_entries_agree_bit_for_bit() {
 }
 
 #[test]
+fn run_core_entry_pins_its_stepped_cycles() {
+    // The entry that owns its core reports how many cycles `step` simulated;
+    // the rest were jumped over by the idle skip. The count is exact on any
+    // machine, so a predicate that skips more, or stops skipping, moves it.
+    let work = (perf::by_name("cpu/dispatch-run-core").expect("registered").run)();
+    assert_eq!(work.stepped_cycles, 174_996);
+    assert!(work.stepped_cycles < work.sim_cycles, "the skip engages on this pair: {work:?}");
+}
+
+#[test]
 fn measurement_is_idempotent_across_repeats() {
     // Warm-up + repeated measured runs must leave no state behind that
     // changes a later run: fingerprints are identical on every invocation.
