@@ -24,12 +24,10 @@
 //!   baselines go through one interface, and the cache digest covers the
 //!   policy identities;
 //! * [`report`] — plain-text table formatting and cache-statistics reporting
-//!   shared by the binaries;
-//! * [`perf`] — the performance subsystem: a registry of fixed-length
-//!   benchmarks over all three simulation layers, warmup + median-of-N
-//!   wall-clock measurement, the schema-versioned `BENCH_<label>.json`
-//!   report, and the regression gate behind the `perf` binary and the CI
-//!   perf job.
+//!   shared by the binaries.
+//!
+//! Performance is measured outside this crate, by the repository benchmark
+//! in `perfbench/` (see `perfbench/README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -37,7 +35,6 @@
 pub mod engine;
 pub mod figures;
 pub mod harness;
-pub mod perf;
 pub mod report;
 pub mod store;
 

@@ -43,9 +43,8 @@ pub trait JsonCodec: Sized {
     fn from_json(value: &Value) -> Option<Self>;
 }
 
-/// Builds a JSON object from `(key, value)` pairs (shared with the perf
-/// report codecs).
-pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
+/// Builds a JSON object from `(key, value)` pairs.
+fn obj(fields: Vec<(&str, Value)>) -> Value {
     let mut map = serde_json::Map::new();
     for (k, v) in fields {
         map.insert(k.to_string(), v);
@@ -136,8 +135,12 @@ impl JsonCodec for Histogram {
             return None;
         }
         let mut h = Histogram::new(counts.len() - 1);
+        // `record_weighted` adds unchecked; a corrupted entry whose counts
+        // overflow the total must decode as a miss instead.
+        let mut total = 0u64;
         for (bin, count) in counts.iter().enumerate() {
             let count = count.as_u64()?;
+            total = total.checked_add(count)?;
             if count > 0 {
                 h.record_weighted(bin, count);
             }
@@ -480,6 +483,11 @@ mod tests {
         assert_eq!(restored, h);
         assert_eq!(restored.total(), h.total());
         assert_eq!(restored.fraction_at_least(2), h.fraction_at_least(2));
+
+        // Counts the shim accepts one by one (each at most 9e15) but whose
+        // sum overflows u64 are a miss, not a panic or a wrapped total.
+        let huge = Value::Array(vec![Value::from(9.0e15); 2_050]);
+        assert!(Histogram::from_json(&obj(vec![("counts", huge)])).is_none());
     }
 
     #[test]

@@ -134,6 +134,10 @@ mod tests {
             points[1].required_performance <= points[2].required_performance,
             "50% load should need no more performance than 90% load"
         );
+        // The curve is a pure function of its inputs: a second run
+        // reproduces every point bit for bit.
+        let again = slack_curve(&ServiceSpec::web_search(), SimParams::quick(23), &[0.2, 0.5, 0.9]);
+        assert_eq!(format!("{points:?}"), format!("{again:?}"));
     }
 
     #[test]

@@ -60,6 +60,10 @@ mod tests {
         let last = points.last().unwrap();
         assert!((last.load - 1.0).abs() < 1e-9);
         assert!(last.latency.p99_ms > first.latency.p99_ms);
+        // The curve is a pure function of its inputs: a second sweep
+        // reproduces every point bit for bit.
+        let again = latency_vs_load(&ServiceSpec::web_search(), SimParams::quick(13), 0.1, 6);
+        assert_eq!(format!("{points:?}"), format!("{again:?}"));
     }
 
     #[test]

@@ -41,12 +41,6 @@ pub const EXEMPTIONS: &[Exemption] = &[
         reason: "the Engine memo is keyed lookup only; iteration order never reaches results",
     },
     Exemption {
-        rule: crate::rules::NONDET_TIME,
-        crate_key: "bench",
-        modules: &["perf"],
-        reason: "the perf harness measures wall clocks by design",
-    },
-    Exemption {
         rule: crate::rules::REDUCTION_ORDER,
         crate_key: "stats",
         modules: &["reduce"],

@@ -5,9 +5,9 @@
 //! the repository root.
 //!
 //! Every result this reproduction reports rests on bit-exact determinism:
-//! golden-parity fixtures, the Engine's content-addressed `CanonicalKey`
-//! cache cells, and perf fingerprints all assume the simulator never
-//! consults wall clocks, unseeded entropy, or unordered-iteration
+//! golden-parity fixtures, the fleet fixtures and the Engine's
+//! content-addressed `CanonicalKey` cache cells all assume the simulator
+//! never consults wall clocks, unseeded entropy, or unordered-iteration
 //! collections. `simlint` enforces those invariants statically, at the
 //! source line, before they cost a fixture re-pin.
 //!
@@ -440,8 +440,11 @@ mod tests {
         let hits = analyze_source_as("crates/cpu/src/core.rs", src);
         assert_eq!(hits.len(), 1);
         assert_eq!((hits[0].line, hits[0].column), (1, 18));
-        // Same code in the perf harness (allowlisted) and in a test file.
-        assert!(analyze_source_as("crates/bench/src/perf.rs", src).is_empty());
+        // No module is exempt from the rule, bench modules included…
+        let hits = analyze_source_as("crates/bench/src/perf.rs", src);
+        assert_eq!(hits.len(), 1);
+        assert_eq!((hits[0].rule, hits[0].line, hits[0].column), ("nondet-time", 1, 18));
+        // … while test files still are.
         assert!(analyze_source_as("tests/perf.rs", src).is_empty());
     }
 }

@@ -250,8 +250,8 @@ fn starved_server_intervals_are_skipped_not_counted_as_perfect_tails() {
 /// sharded as 125 racks, bit-identical at 1 and 8 workers. Ignored by
 /// default because it costs several release-mode seconds (minutes in
 /// debug); run it with `cargo test --release -- --ignored`. CI exercises
-/// the same configuration every run through the `cluster/fleet-10k` perf
-/// benchmark.
+/// the same configuration every run as the `p2c` day of perfbench's
+/// `fleet-day` workload, whose traced run checks 1 worker against 2.
 #[test]
 #[ignore = "datacenter scale: run explicitly in release mode"]
 fn datacenter_day_is_bit_identical_across_worker_counts() {
