@@ -66,13 +66,6 @@ impl ElfenSchedule {
     pub fn period_us(&self) -> f64 {
         self.quantum_us / self.duty_cycle.fraction()
     }
-
-    /// Whether the schedule's granularity is safely below a latency target
-    /// (expressed in milliseconds): the paper requires the interleaving
-    /// period to be orders of magnitude below the tail-latency target.
-    pub fn is_fine_grained_for(&self, qos_target_ms: f64) -> bool {
-        self.period_us() < qos_target_ms * 1000.0 / 100.0
-    }
 }
 
 /// The duty-cycle grid used for the Section II slack measurement: 5% steps.
@@ -196,14 +189,6 @@ mod tests {
         let small = ElfenSchedule::new(DutyCycle::new(0.1));
         let large = ElfenSchedule::new(DutyCycle::new(0.9));
         assert!(small.period_us() > large.period_us());
-    }
-
-    #[test]
-    fn granularity_check_against_targets() {
-        let s = ElfenSchedule::new(DutyCycle::new(0.2));
-        // 100 us quanta -> 500 us period: fine for a 100 ms target, not for a 20 ms one? It is: 20 ms / 100 = 200 us... period 500us is too coarse.
-        assert!(s.is_fine_grained_for(100.0));
-        assert!(!s.is_fine_grained_for(0.04));
     }
 
     #[test]

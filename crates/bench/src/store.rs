@@ -191,7 +191,7 @@ impl JsonCodec for LoadPoint {
                 p99_ms: value.get("p99_ms")?.as_f64()?,
                 p995_ms: value.get("p995_ms")?.as_f64()?,
                 max_ms: value.get("max_ms")?.as_f64()?,
-                requests: value.get("requests")?.as_u64()? as usize,
+                requests: usize::from_json(value.get("requests")?)?,
             },
         })
     }
@@ -229,8 +229,8 @@ impl JsonCodec for FleetIntervalReport {
         Some(FleetIntervalReport {
             hour: value.get("hour")?.as_f64()?,
             load: value.get("load")?.as_f64()?,
-            engaged_servers: value.get("engaged_servers")?.as_u64()? as usize,
-            measured_servers: value.get("measured_servers")?.as_u64()? as usize,
+            engaged_servers: usize::from_json(value.get("engaged_servers")?)?,
+            measured_servers: usize::from_json(value.get("measured_servers")?)?,
             p99_ms: value.get("p99_ms")?.as_f64()?,
             batch_throughput: value.get("batch_throughput")?.as_f64()?,
         })
@@ -250,10 +250,10 @@ impl JsonCodec for ServerSummary {
     }
     fn from_json(value: &Value) -> Option<ServerSummary> {
         Some(ServerSummary {
-            engaged_intervals: value.get("engaged_intervals")?.as_u64()? as usize,
-            starved_intervals: value.get("starved_intervals")?.as_u64()? as usize,
+            engaged_intervals: usize::from_json(value.get("engaged_intervals")?)?,
+            starved_intervals: usize::from_json(value.get("starved_intervals")?)?,
             p99_ms: value.get("p99_ms")?.as_f64()?,
-            requests: value.get("requests")?.as_u64()? as usize,
+            requests: usize::from_json(value.get("requests")?)?,
             mode_changes: value.get("mode_changes")?.as_u64()?,
             throttle_events: value.get("throttle_events")?.as_u64()?,
         })
@@ -286,7 +286,7 @@ impl JsonCodec for FleetReport {
             p50_ms: value.get("p50_ms")?.as_f64()?,
             p95_ms: value.get("p95_ms")?.as_f64()?,
             p99_ms: value.get("p99_ms")?.as_f64()?,
-            requests: value.get("requests")?.as_u64()? as usize,
+            requests: usize::from_json(value.get("requests")?)?,
         })
     }
 }

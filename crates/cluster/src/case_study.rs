@@ -8,10 +8,10 @@
 
 use crate::diurnal::DiurnalPattern;
 use crate::fleet::{self, Fleet, FleetConfig, FleetReport, FleetScale, LoadBalancer};
+use crate::table::{ModePerformance, PerformanceTable};
 use crate::topology::{FleetTopology, TailAccumulation};
 use sim_model::{CanonicalKey, KeyEncoder};
 use sim_qos::{ArrivalProcess, ServiceSpec};
-use stretch::orchestrator::{ModePerformance, PerformanceTable};
 use stretch::{MonitorConfig, RobSkew, StretchConfig, StretchMode};
 
 /// One cluster case study.

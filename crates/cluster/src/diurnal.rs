@@ -103,15 +103,6 @@ impl DiurnalPattern {
             })
             .collect()
     }
-
-    /// Hours of the day (out of 24) during which the load is strictly below
-    /// `threshold`, estimated on a 5-minute grid.
-    pub fn hours_below(&self, threshold: f64) -> f64 {
-        let grid = 12 * 24; // 5-minute resolution
-        let below =
-            (0..grid).filter(|i| self.load_at(*i as f64 * 24.0 / grid as f64) < threshold).count();
-        below as f64 * 24.0 / grid as f64
-    }
 }
 
 impl CanonicalKey for DiurnalPattern {
@@ -134,6 +125,13 @@ impl CanonicalKey for DiurnalPattern {
 mod tests {
     use super::*;
 
+    /// Hours of the day (out of 24) during which `pattern` is strictly
+    /// below `threshold`, on a 5-minute grid.
+    fn hours_below(pattern: DiurnalPattern, threshold: f64) -> f64 {
+        let step = 1.0 / 12.0;
+        pattern.sample(step).iter().filter(|s| s.load < threshold).count() as f64 * step
+    }
+
     #[test]
     fn loads_are_normalised_fractions() {
         for pattern in [DiurnalPattern::WebSearch, DiurnalPattern::YouTube] {
@@ -151,13 +149,13 @@ mod tests {
 
     #[test]
     fn web_search_spends_about_11_hours_below_85_percent() {
-        let hours = DiurnalPattern::WebSearch.hours_below(0.85);
+        let hours = hours_below(DiurnalPattern::WebSearch, 0.85);
         assert!((hours - 11.0).abs() < 1.5, "Web Search hours below 85%: {hours:.1}");
     }
 
     #[test]
     fn youtube_spends_about_17_hours_below_85_percent() {
-        let hours = DiurnalPattern::YouTube.hours_below(0.85);
+        let hours = hours_below(DiurnalPattern::YouTube, 0.85);
         assert!((hours - 17.0).abs() < 1.5, "YouTube hours below 85%: {hours:.1}");
     }
 

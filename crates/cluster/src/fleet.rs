@@ -65,12 +65,12 @@
 //! least-loaded balancer's probes of idle servers cheap.
 
 use crate::diurnal::DiurnalPattern;
+use crate::table::PerformanceTable;
 use crate::topology::{FleetTopology, TailAccumulation};
 use cpu_sim::{ColocationPolicy, QosObservation};
 use sim_model::{parallel_map, CanonicalKey, KeyEncoder, SimRng};
 use sim_qos::{bisect_peak_rps, ArrivalGenerator, ArrivalProcess, ServiceSpec, WorkerPool};
 use sim_stats::{det_merge, det_sum, percentile, LatencyHistogram, Percentiles};
-use stretch::orchestrator::PerformanceTable;
 use stretch::{ClosedLoopStretch, MonitorConfig, QosPolicy, StretchConfig};
 
 /// How the fleet's front end spreads arriving requests over the servers.

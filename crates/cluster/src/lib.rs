@@ -32,11 +32,9 @@
 //!   ([`Fleet::run_with_workers`]) with a bit-exact deterministic merge.
 //! * [`diurnal`] — the parametric diurnal load curves of Figure 14 shared
 //!   by both routes (shapes from Meisner et al. and Gill et al.).
-//! * [`server`] — the lowering of the generalised M-core × T-thread server
-//!   model: a [`MeasuredServer`] derives the fleet's per-mode performance
-//!   table from cycle-level whole-server runs under an
-//!   [`cpu_sim::AllocationPolicy`], instead of a hand-fed table or a lone
-//!   SMT pair.
+//! * [`table`] — the per-mode performance table each fleet server runs on
+//!   ([`PerformanceTable`]: the LS service's retained performance and the
+//!   batch speedup per Stretch mode).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,7 +42,7 @@
 pub mod case_study;
 pub mod diurnal;
 pub mod fleet;
-pub mod server;
+pub mod table;
 pub mod topology;
 
 pub use case_study::{CaseStudy, CaseStudyReport};
@@ -53,5 +51,5 @@ pub use fleet::{
     calibrated_monitor_with_peak, measured_peak_rps, rack_seed, server_seed, Fleet, FleetConfig,
     FleetIntervalReport, FleetReport, FleetScale, LoadBalancer, ServerSummary,
 };
-pub use server::{MeasuredServer, ServerModeMeasurement, ServerWorkloads};
+pub use table::{ModePerformance, PerformanceTable};
 pub use topology::{FleetTopology, RackTopology, TailAccumulation};

@@ -574,22 +574,6 @@ impl SmtCore {
         self.census();
     }
 
-    /// Runs until `thread` has committed at least `instructions` more
-    /// instructions, or `max_cycles` elapse. Returns the cycles spent.
-    pub fn run_instructions(
-        &mut self,
-        thread: ThreadId,
-        instructions: u64,
-        max_cycles: u64,
-    ) -> u64 {
-        let target = self.committed(thread) + instructions;
-        let start = self.now;
-        while self.committed(thread) < target && self.now - start < max_cycles {
-            self.step();
-        }
-        self.now - start
-    }
-
     /// Jumps over up to `limit` cycles in which no pipeline stage can act,
     /// returning how many were skipped (0 when the next cycle is live).
     ///
@@ -1128,6 +1112,16 @@ mod tests {
         SmtCoreBuilder::new(CoreConfig::default()).thread(ThreadId::T0, trace).build()
     }
 
+    /// Steps `core` until `thread` has committed `instructions` more
+    /// instructions or `max_cycles` elapse.
+    fn run_instructions(core: &mut SmtCore, thread: ThreadId, instructions: u64, max_cycles: u64) {
+        let target = core.committed(thread) + instructions;
+        let start = core.now();
+        while core.committed(thread) < target && core.now() - start < max_cycles {
+            core.step();
+        }
+    }
+
     /// Runs `trace` alone through `run_core` for `instructions` committed
     /// instructions; returns the fraction of cycles simulated by `step`.
     fn stepped_share(trace: BoxedTrace, instructions: u64) -> f64 {
@@ -1161,7 +1155,7 @@ mod tests {
     #[test]
     fn alu_loop_reaches_high_ipc() {
         let mut core = single_thread_core(AluLoop::boxed());
-        core.run_instructions(ThreadId::T0, 20_000, 200_000);
+        run_instructions(&mut core, ThreadId::T0, 20_000, 200_000);
         let ipc = core.committed(ThreadId::T0) as f64 / core.cycles() as f64;
         assert!(ipc > 2.0, "independent ALU loop should exceed 2 IPC, got {ipc:.2}");
     }
@@ -1169,7 +1163,7 @@ mod tests {
     #[test]
     fn pointer_chase_is_memory_latency_bound() {
         let mut core = single_thread_core(PointerChase::boxed(1));
-        core.run_instructions(ThreadId::T0, 2_000, 2_000_000);
+        run_instructions(&mut core, ThreadId::T0, 2_000, 2_000_000);
         let ipc = core.committed(ThreadId::T0) as f64 / core.cycles() as f64;
         assert!(ipc < 0.05, "dependent misses should serialize at memory latency, got {ipc:.3}");
         // MLP census: almost never more than one outstanding miss.
@@ -1180,7 +1174,7 @@ mod tests {
     #[test]
     fn independent_loads_expose_mlp() {
         let mut core = single_thread_core(StreamingLoads::boxed(2));
-        core.run_instructions(ThreadId::T0, 5_000, 2_000_000);
+        run_instructions(&mut core, ThreadId::T0, 5_000, 2_000_000);
         let mlp = core.mlp_census(ThreadId::T0);
         assert!(
             mlp.fraction_at_least(2) > 0.3,
@@ -1189,7 +1183,7 @@ mod tests {
         );
         let chasing_core = {
             let mut c = single_thread_core(PointerChase::boxed(3));
-            c.run_instructions(ThreadId::T0, 2_000, 2_000_000);
+            run_instructions(&mut c, ThreadId::T0, 2_000, 2_000_000);
             c
         };
         let stream_ipc = core.committed(ThreadId::T0) as f64 / core.cycles() as f64;
@@ -1208,7 +1202,7 @@ mod tests {
                 .partition(PartitionPolicy::Static { rob: vec![rob, rob], lsq: vec![32, 32] })
                 .thread(ThreadId::T0, StreamingLoads::boxed(7))
                 .build();
-            core.run_instructions(ThreadId::T0, 5_000, 2_000_000);
+            run_instructions(&mut core, ThreadId::T0, 5_000, 2_000_000);
             core.committed(ThreadId::T0) as f64 / core.cycles() as f64
         };
         let small = run(12);
@@ -1224,7 +1218,7 @@ mod tests {
         let cfg = CoreConfig::default();
         let solo_ipc = {
             let mut core = single_thread_core(StreamingLoads::boxed(11));
-            core.run_instructions(ThreadId::T0, 5_000, 2_000_000);
+            run_instructions(&mut core, ThreadId::T0, 5_000, 2_000_000);
             core.committed(ThreadId::T0) as f64 / core.cycles() as f64
         };
         let mut core = SmtCore::baseline(cfg, StreamingLoads::boxed(11), AluLoop::boxed());
@@ -1320,11 +1314,11 @@ mod tests {
             pc: 0x4000,
             rng: sim_model::SimRng::new(9),
         }));
-        core.run_instructions(ThreadId::T0, 10_000, 500_000);
+        run_instructions(&mut core, ThreadId::T0, 10_000, 500_000);
         assert!(core.thread_stats(ThreadId::T0).branch_flushes > 100);
         let ipc = core.committed(ThreadId::T0) as f64 / core.cycles() as f64;
         let mut alu_core = single_thread_core(AluLoop::boxed());
-        alu_core.run_instructions(ThreadId::T0, 10_000, 500_000);
+        run_instructions(&mut alu_core, ThreadId::T0, 10_000, 500_000);
         let alu_ipc = alu_core.committed(ThreadId::T0) as f64 / alu_core.cycles() as f64;
         assert!(ipc < alu_ipc, "mispredictions must cost performance");
     }
@@ -1389,7 +1383,7 @@ mod tests {
     #[test]
     fn inactive_thread_is_never_scheduled() {
         let mut core = single_thread_core(AluLoop::boxed());
-        core.run_instructions(ThreadId::T0, 1_000, 100_000);
+        run_instructions(&mut core, ThreadId::T0, 1_000, 100_000);
         assert_eq!(core.committed(ThreadId::T1), 0);
         assert!(!core.thread_active(ThreadId::T1));
     }
@@ -1397,11 +1391,11 @@ mod tests {
     #[test]
     fn reset_stats_preserves_progress() {
         let mut core = single_thread_core(AluLoop::boxed());
-        core.run_instructions(ThreadId::T0, 1_000, 100_000);
+        run_instructions(&mut core, ThreadId::T0, 1_000, 100_000);
         core.reset_stats();
         assert_eq!(core.committed(ThreadId::T0), 0);
         assert_eq!(core.cycles(), 0);
-        core.run_instructions(ThreadId::T0, 1_000, 100_000);
+        run_instructions(&mut core, ThreadId::T0, 1_000, 100_000);
         assert!(core.committed(ThreadId::T0) >= 1_000);
     }
 }

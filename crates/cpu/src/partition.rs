@@ -111,13 +111,6 @@ impl PartitionPolicy {
         PartitionPolicy::rob_shares(cfg, &shares)
     }
 
-    /// Per-thread full-size private structures for the classic pair, used by
-    /// the per-resource contention study when the ROB is *not* the resource
-    /// under study (each thread behaves as if it had the whole window).
-    pub fn private_full(cfg: &CoreConfig) -> PartitionPolicy {
-        PartitionPolicy::private_full_n(cfg, 2)
-    }
-
     /// Per-thread full-size private structures across `threads` threads.
     ///
     /// # Panics
@@ -265,7 +258,7 @@ mod tests {
     #[test]
     fn private_full_gives_each_thread_everything() {
         let cfg = CoreConfig::default();
-        let p = PartitionPolicy::private_full(&cfg);
+        let p = PartitionPolicy::private_full_n(&cfg, 2);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T0), 192);
         assert_eq!(p.rob_limit(&cfg, ThreadId::T1), 192);
         assert!(!p.enforce_total_capacity());

@@ -17,9 +17,9 @@
 //!   to coincide.
 //!
 //! The [`crate::Scenario`] builder runs a policy open loop (one setup for the
-//! whole run); the `stretch` crate's orchestrator drives the closed loop,
-//! feeding observations from the request-level queueing model and
-//! reconfiguring the core when the policy asks for it.
+//! whole run); `cluster_sim::Fleet` drives the closed loop, feeding each
+//! server's policy observations from the request-level queueing model and
+//! switching its mode when the policy asks for it.
 //!
 //! Static policies that need nothing beyond a fixed [`CoreSetup`] live here
 //! ([`EqualPartition`], [`PrivateCore`], and the Figure 4/5 resource-study
@@ -113,12 +113,6 @@ impl ColocationTopology {
     /// The thread running the latency-sensitive service.
     pub fn ls_thread(&self) -> ThreadId {
         self.ls_thread
-    }
-
-    /// The batch threads, in index order.
-    pub fn batch_threads(&self) -> impl Iterator<Item = ThreadId> + '_ {
-        let ls = self.ls_thread;
-        ThreadId::first_n(self.threads).filter(move |t| *t != ls)
     }
 }
 
@@ -301,7 +295,7 @@ mod tests {
     fn private_core_full_and_capped_windows() {
         let cfg = CoreConfig::default();
         let full = PrivateCore::full().setup(&cfg);
-        assert_eq!(full, CoreSetup::private_full(&cfg));
+        assert_eq!(full, CoreSetup::private_full_n(&cfg, 2));
         let capped = PrivateCore::with_rob(64).setup(&cfg);
         assert_eq!(capped.partition.rob_limit(&cfg, ThreadId::T0), 64);
         assert_eq!(capped.partition.rob_limit(&cfg, ThreadId::T1), 64);
@@ -352,14 +346,6 @@ mod tests {
         let t = ColocationTopology::pair();
         assert_eq!(t.threads(), 2);
         assert_eq!(t.ls_thread(), ThreadId::T0);
-        assert_eq!(t.batch_threads().collect::<Vec<_>>(), vec![ThreadId::T1]);
-    }
-
-    #[test]
-    fn smt4_topology_lists_three_batch_threads() {
-        let t = ColocationTopology::new(4, ThreadId::T1);
-        assert_eq!(t.batch_threads().count(), 3);
-        assert!(t.batch_threads().all(|b| b != ThreadId::T1));
     }
 
     #[test]

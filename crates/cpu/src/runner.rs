@@ -152,12 +152,6 @@ impl CoreSetup {
         }
     }
 
-    /// A fully private core (used for stand-alone "full core" reference runs):
-    /// each thread sees private caches, predictor and a full-size window.
-    pub fn private_full(cfg: &CoreConfig) -> CoreSetup {
-        CoreSetup::private_full_n(cfg, 2)
-    }
-
     /// A fully private `threads`-wide core.
     pub fn private_full_n(cfg: &CoreConfig, threads: usize) -> CoreSetup {
         CoreSetup {
@@ -198,7 +192,7 @@ impl CanonicalKey for CoreSetup {
 ///
 /// This is the low-level loop behind [`crate::Scenario::run`]; it stays
 /// public for closed-loop experiments (and benches) that build and reprogram
-/// an [`SmtCore`] themselves, e.g. through the Stretch control register.
+/// an [`SmtCore`] themselves, e.g. with [`SmtCore::set_partition`].
 pub fn run_core(
     core: &mut SmtCore,
     mut names: Vec<Option<String>>,

@@ -201,11 +201,6 @@ impl CoreConfig {
         self.rob_capacity / 2
     }
 
-    /// Default (equal) LSQ partition size for one thread: half the capacity.
-    pub fn default_lsq_partition(&self, _thread: ThreadId) -> usize {
-        self.lsq_capacity / 2
-    }
-
     /// Scales the LSQ partition in proportion to a ROB partition, as the
     /// paper does ("we also manage the LSQ in proportion to the ROB", §IV).
     ///
@@ -276,7 +271,6 @@ mod tests {
     fn equal_partitions_are_half() {
         let c = CoreConfig::default();
         assert_eq!(c.default_rob_partition(ThreadId::T0), 96);
-        assert_eq!(c.default_lsq_partition(ThreadId::T1), 32);
     }
 
     #[test]

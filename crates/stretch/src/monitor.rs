@@ -50,11 +50,6 @@ impl QosPolicy {
         QosPolicy::TailLatency { engage_below: 0.6, disengage_above: 0.9 }
     }
 
-    /// The default queue-length policy.
-    pub fn default_queue_length() -> QosPolicy {
-        QosPolicy::QueueLength { engage_at_or_below: 1, disengage_above: 4 }
-    }
-
     /// Validates threshold ordering.
     ///
     /// # Errors
@@ -334,7 +329,7 @@ mod tests {
         let mut m = SoftwareMonitor::new(
             StretchConfig::recommended(),
             MonitorConfig {
-                policy: QosPolicy::default_queue_length(),
+                policy: QosPolicy::QueueLength { engage_at_or_below: 1, disengage_above: 4 },
                 engage_after: 2,
                 violations_before_throttle: 3,
             },

@@ -9,8 +9,8 @@
 //!   [`SoftwareMonitor`] consumes QoS telemetry through
 //!   [`ColocationPolicy::on_sample`] and reprograms the (modelled) control
 //!   register, so the policy's [`setup`](ColocationPolicy::setup) tracks the
-//!   currently engaged mode. The orchestrator drives this against the
-//!   queueing model for the §VI-D case studies.
+//!   currently engaged mode. `cluster_sim::Fleet` drives one per server
+//!   against the queueing model for the §VI-D case studies.
 
 use crate::config::{StretchConfig, StretchMode};
 use crate::monitor::{MonitorAction, MonitorConfig, SoftwareMonitor};
@@ -197,7 +197,10 @@ mod tests {
         let mut p = ClosedLoopStretch::new(
             StretchConfig::recommended(),
             MonitorConfig {
-                policy: crate::monitor::QosPolicy::default_queue_length(),
+                policy: crate::monitor::QosPolicy::QueueLength {
+                    engage_at_or_below: 1,
+                    disengage_above: 4,
+                },
                 engage_after: 1,
                 violations_before_throttle: 3,
             },

@@ -23,7 +23,7 @@
 //!   colocation policies and the server-level allocation policies above them.
 //! * [`workloads`] — synthetic latency-sensitive and batch workload generators.
 //! * [`stretch`] — the paper's contribution: asymmetric ROB/LSQ partitioning,
-//!   the architectural control register and the software QoS monitor.
+//!   the Stretch colocation policies and the software QoS monitor.
 //! * [`qos`] — request-level queueing simulation, latency percentiles, slack
 //!   analysis (package `sim_qos`).
 //! * [`baselines`] — fetch throttling, dynamic sharing, ideal software scheduling, Elfen.
@@ -48,9 +48,7 @@ pub mod prelude {
     pub use baselines::{
         DynamicSharing, Elfen, FetchThrottling, HybridThrottleSkew, IdealScheduling,
     };
-    pub use cluster_sim::{
-        CaseStudy, Fleet, FleetConfig, FleetScale, LoadBalancer, MeasuredServer, ServerWorkloads,
-    };
+    pub use cluster_sim::{CaseStudy, Fleet, FleetConfig, FleetScale, LoadBalancer};
     pub use cpu_sim::{
         AllocationPolicy, ColocationPolicy, ColocationResult, ColocationTopology, CoreSetup,
         EqualPartition, Greedy, Placement, PrivateCore, RoundRobin, Scenario, ServerScenario,

@@ -1,14 +1,11 @@
 //! Cross-crate integration tests: the full Stretch stack working together —
 //! workloads on the SMT core through the `Scenario`/`ColocationPolicy` API,
-//! mode changes through the control register, the closed-loop policy
-//! reacting to the queueing model, and the cluster accounting on top.
+//! mode changes written to a live core, the closed-loop policy reacting to
+//! measured tails on a fleet, and the cluster accounting on top.
 
 use stretch_repro::cpu::SmtCoreBuilder;
 use stretch_repro::model::{CoreConfig, ThreadId};
 use stretch_repro::prelude::*;
-use stretch_repro::qos::{ServiceSpec, SimParams};
-use stretch_repro::stretch::orchestrator::PerformanceTable;
-use stretch_repro::stretch::{ControlRegister, MonitorConfig, Orchestrator};
 use stretch_repro::workloads::{batch, latency_sensitive, profile_by_name};
 
 fn quick() -> SimLength {
@@ -97,13 +94,14 @@ fn q_mode_shifts_performance_back_to_the_latency_sensitive_thread() {
 
 #[test]
 fn control_register_drives_mode_changes_on_a_live_core() {
+    // The §IV-C register write: the provisioned mode is mapped onto the
+    // ROB/LSQ limit registers and written with a flush of both pipelines.
     let cfg = CoreConfig::default();
     let stretch = StretchConfig::recommended();
     let mut core = SmtCoreBuilder::new(cfg)
         .thread(ThreadId::T0, latency_sensitive::web_search(7))
         .thread(ThreadId::T1, batch::zeusmp(7))
         .build();
-    let mut reg = ControlRegister::new();
 
     // Warm up in baseline mode.
     for _ in 0..2_000 {
@@ -112,15 +110,15 @@ fn control_register_drives_mode_changes_on_a_live_core() {
     let committed_before = core.committed(ThreadId::T1);
 
     // Engage B-mode, run, then switch to Q-mode, run again.
-    reg.engage_b_mode();
-    let mode = reg.apply(&mut core, &stretch, ThreadId::T0);
+    let mode = stretch.low_load_mode();
     assert!(mode.is_batch_boost());
+    core.set_partition(mode.partition_policy(&cfg, ThreadId::T0), true);
     for _ in 0..5_000 {
         core.step();
     }
-    reg.engage_q_mode();
-    let mode = reg.apply(&mut core, &stretch, ThreadId::T0);
+    let mode = stretch.high_load_mode();
     assert!(mode.is_qos_boost());
+    core.set_partition(mode.partition_policy(&cfg, ThreadId::T0), true);
     for _ in 0..5_000 {
         core.step();
     }
@@ -134,36 +132,32 @@ fn control_register_drives_mode_changes_on_a_live_core() {
 
 #[test]
 fn monitor_keeps_qos_while_harvesting_throughput_over_a_day() {
-    // Diurnal closed loop: the policy should engage B-mode during the night
-    // hours, back off during the peak, and never violate QoS during the
-    // low-load part of the day.
-    // Provision only a B-mode: at high load the policy falls back to the
+    // Diurnal closed loop on a small web-search fleet: each server's
+    // monitor should engage B-mode during the night hours, back off during
+    // the peak, and keep QoS during the low-load part of the day. Only a
+    // B-mode is provisioned: at high load the policy falls back to the
     // baseline, so any engaged interval is a pure throughput gain.
-    let mut orch = Orchestrator::new(
-        ServiceSpec::web_search(),
-        StretchConfig::b_mode_only(RobSkew::recommended_b_mode()),
-        MonitorConfig { engage_after: 2, ..MonitorConfig::default() },
-        PerformanceTable::paper_defaults(),
-        SimParams::quick(19),
+    let study = CaseStudy { interval_hours: 1.0, ..CaseStudy::web_search() };
+    let target_ms = study.service().qos_target_ms;
+    let report = study.run_fleet(
+        LoadBalancer::LeastLoaded,
+        FleetScale { servers: 4, requests_per_server: 150, seed: 19 },
     );
-    let loads: Vec<f64> = stretch_repro::cluster::DiurnalPattern::WebSearch
-        .sample(1.0)
-        .into_iter()
-        .map(|s| s.load)
-        .collect();
-    let report = orch.run_trace(&loads);
     assert_eq!(report.intervals.len(), 24);
-    assert!(
-        report.b_mode_intervals >= 6,
-        "expected B-mode at night, got {}",
-        report.b_mode_intervals
-    );
+    let engaged = report.intervals.iter().filter(|iv| iv.engaged_servers > 0).count();
+    assert!(engaged >= 6, "expected B-mode at night, got {engaged} intervals");
     assert!(report.average_batch_throughput > 1.0);
-    for iv in &report.intervals {
-        if iv.load < 0.4 && !iv.mode.is_batch_boost() {
-            // Low-load intervals in baseline mode must certainly meet QoS.
-            assert!(!iv.qos_violated, "baseline at low load must meet QoS: {iv:?}");
-        }
+    // Low-load intervals (below the engagement threshold) in baseline mode
+    // must certainly meet QoS. The Web Search trough is 42% of peak, so
+    // "low load" is the study's threshold, and some such intervals exist.
+    let low_baseline: Vec<_> = report
+        .intervals
+        .iter()
+        .filter(|iv| iv.load < study.engage_below && iv.engaged_servers == 0)
+        .collect();
+    assert!(!low_baseline.is_empty(), "the day must hold low-load baseline intervals");
+    for iv in low_baseline {
+        assert!(iv.p99_ms <= target_ms, "baseline at low load must meet QoS: {iv:?}");
     }
 }
 

@@ -1,11 +1,13 @@
 //! Integration tests for the measured fleet simulation: determinism,
-//! per-server stream independence, warm-cache fleet cells through the
-//! engine, and agreement between the measured and analytical §VI-D cluster
-//! case studies.
+//! per-server stream independence, the sharded merge against the
+//! one-worker run at random fleet shapes, warm-cache fleet cells through
+//! the engine, and agreement between the measured and analytical §VI-D
+//! cluster case studies.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use proptest::prelude::*;
 use stretch_bench::{Engine, ExperimentConfig};
 use stretch_repro::cluster::{
     rack_seed, server_seed, CaseStudy, Fleet, FleetScale, FleetTopology, LoadBalancer,
@@ -121,6 +123,42 @@ fn sharded_runs_are_bit_identical_across_worker_counts() {
     assert_eq!(one.average_batch_throughput.to_bits(), eight.average_batch_throughput.to_bits());
     for (a, b) in one.servers.iter().zip(&eight.servers) {
         assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
+    }
+}
+
+proptest! {
+    // Each case calibrates and runs a fleet of up to 64 servers twice; a
+    // dozen cases keep the suite's cost to a few seconds.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn sharded_merge_matches_one_worker_at_random_shapes(
+        racks in 1usize..9,
+        per_rack in 1usize..9,
+        workers in 1usize..9,
+        requests in 20usize..51,
+        balancer in 0usize..3,
+        binned in 0u32..2,
+        seed in 0u64..1_000,
+    ) {
+        // The one-worker run is the reference: the shard merge must fold
+        // any worker count's partials into the same report, bit for bit.
+        let balancer = LoadBalancer::ALL[balancer];
+        let tails =
+            if binned == 1 { TailAccumulation::binned_default() } else { TailAccumulation::Exact };
+        let fleet = CaseStudy::web_search().fleet_with(
+            balancer,
+            FleetScale { servers: racks * per_rack, requests_per_server: requests, seed },
+            FleetTopology::racked(racks, balancer),
+            tails,
+            1,
+        );
+        let reference = fleet.run_with_workers(1);
+        let sharded = fleet.run_with_workers(workers);
+        prop_assert_eq!(&sharded, &reference);
+        // `==` on f64 forgives a sign flip of zero; the shortest round-trip
+        // rendering does not.
+        prop_assert_eq!(format!("{sharded:?}"), format!("{reference:?}"));
     }
 }
 
